@@ -9,8 +9,10 @@
 //    second, from ExperimentResult::sim_events) and allocator traffic
 //    (allocations per event, via the counting allocator below);
 //  - a steady-state dispatch-loop probe drives the EventQueue, StageState,
-//    Container, and interned StatsDb hot paths directly and FAILS THE BENCH
-//    (non-zero exit) if a warmed-up cycle performs any heap allocation;
+//    and Container hot paths directly and FAILS THE BENCH (non-zero exit)
+//    if a warmed-up cycle performs any heap allocation;
+//  - a policy run that measured no jobs (a duration inside the warm-up)
+//    also fails the bench: its throughput figures would describe nothing;
 //  - `json_out=<path>` emits the numbers machine-readably (BENCH_scale.json
 //    in the CI perf-smoke leg).
 //
@@ -27,7 +29,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/stats_db.hpp"
 #include "sim/event_queue.hpp"
 
 // ------------------------------------------------------ counting allocator
@@ -77,12 +78,12 @@ std::uint64_t allocs() {
 // Drives one warm steady-state dispatch cycle — the exact per-event work the
 // simulator's hot loop performs once fleets and queues have warmed up:
 // schedule + fire an event carrying a framework-sized capture, stage
-// enqueue/select/pop, container enqueue/pop/execute, interned StatsDb
-// read-modify-writes, and a live-fleet sweep. After a warmup pass settles
-// vector capacities, `iters` further cycles must perform ZERO allocations
-// (DESIGN.md §5g). Excluded by design: container spawn/terminate (rare, not
-// per-event) and StageState::record_wait (bounded deque, trimmed on a
-// horizon, not part of the dispatch cycle).
+// enqueue/select/pop, container enqueue/pop/execute, and a live-fleet
+// sweep. After a warmup pass settles vector capacities, `iters` further
+// cycles must perform ZERO allocations (DESIGN.md §5g). Excluded by design:
+// container spawn/terminate (rare, not per-event) and
+// StageState::record_wait (bounded deque, trimmed on a horizon, not part of
+// the dispatch cycle).
 struct ProbeResult {
   std::uint64_t events = 0;
   std::uint64_t allocations = 0;
@@ -104,9 +105,6 @@ ProbeResult steady_state_probe(std::uint64_t iters) {
   }
 
   EventQueue q;
-  StatsDb db;
-  const StatsDb::DocId doc = db.create_doc();
-  const StatsDb::FieldId free_slots = db.intern_field("freeSlots");
 
   Job job;
   job.records.resize(1);
@@ -119,17 +117,16 @@ ProbeResult steady_state_probe(std::uint64_t iters) {
       Container* c = st.select_container();
       TaskRef task = st.pop_next();
       c->enqueue(task);
-      // The framework's largest event capture is 40 bytes; mirror its shape.
-      q.schedule(t, [c, &db, doc, free_slots, task] {
-        TaskRef popped = c->pop();
-        (void)popped;
-        db.increment(doc, free_slots, -1.0);
+      // The request path's largest event capture is 40 bytes (a task's
+      // finish: pacer, stage, container, task); mirror its shape.
+      q.schedule(t, [&st, c, &live_sum, task] {
+        const TaskRef popped = c->pop();
+        live_sum += popped.job == task.job && !st.queue_empty() ? 1 : 0;
       });
       auto fired = q.pop();
       fired.callback();
       c->begin_execution(t);
       c->end_execution(t + 0.5);
-      db.increment(doc, free_slots, 1.0);
       for (const Container& cc : st.live()) live_sum += cc.warm() ? 1 : 0;
     }
   };
@@ -163,7 +160,8 @@ double allocs_per_event(std::uint64_t allocations, std::uint64_t events) {
 }
 
 void write_json(const std::string& path, const ProbeResult& probe,
-                const std::vector<PolicyRun>& runs, double duration_s) {
+                const std::vector<PolicyRun>& runs, double duration_s,
+                double warmup_s) {
   std::ofstream out(path);
   if (!out) {
     std::cerr << "bench_scale: cannot write " << path << "\n";
@@ -172,6 +170,7 @@ void write_json(const std::string& path, const ProbeResult& probe,
   out << "{\n"
       << "  \"bench\": \"bench_scale\",\n"
       << "  \"duration_s\": " << duration_s << ",\n"
+      << "  \"warmup_s\": " << warmup_s << ",\n"
       << "  \"steady_state_probe\": {\n"
       << "    \"events\": " << probe.events << ",\n"
       << "    \"allocations\": " << probe.allocations << ",\n"
@@ -254,13 +253,23 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper check: the simulator sustains the 2500-core / ~1500\n"
                "req/s regime; Fifer's container savings persist at scale.\n";
 
-  if (!json_out.empty()) write_json(json_out, probe, runs, s.duration_s);
+  if (!json_out.empty()) {
+    write_json(json_out, probe, runs, s.duration_s, s.warmup_s);
+  }
 
   if (probe.allocations != 0) {
     std::cerr << "\nFAIL: steady-state dispatch loop allocated "
               << probe.allocations << " times in " << probe.events
               << " events (expected 0 — DESIGN.md §5g)\n";
     return 1;
+  }
+  for (const PolicyRun& r : runs) {
+    if (r.jobs == 0) {
+      std::cerr << "\nFAIL: " << r.policy
+                << " measured 0 jobs (duration_s=" << s.duration_s
+                << " does not reach past warmup_s=" << s.warmup_s << ")\n";
+      return 1;
+    }
   }
   return 0;
 }

@@ -7,13 +7,15 @@
 //    Slab-recycled connection slots, inline frame buffers, and pre-reserved
 //    response staging exist exactly for this;
 //  - an end-to-end loopback run (serve_live + the built-in load generator,
-//    closed loop) reports achieved request throughput and RTT percentiles;
+//    closed loop) reports achieved request throughput and RTT percentiles,
+//    and fails the bench when it answered no request at all;
 //  - `json_out=<path>` emits the numbers machine-readably (BENCH_serve.json
 //    in the CI perf-smoke leg).
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -199,7 +201,8 @@ struct E2eResult {
   double rtt_p99_ms = 0.0;
   double rtt_p999_ms = 0.0;
   std::uint64_t rtt_samples = 0;
-  double slo_attainment_pct = 0.0;
+  std::uint64_t responded = 0;  ///< kOk responses the server wrote back.
+  double slo_attainment_pct = 0.0;  ///< NaN when nothing was responded to.
   bool drained = false;
   bool completed = false;
 };
@@ -254,6 +257,7 @@ E2eResult loopback_e2e(std::uint64_t requests, std::size_t connections,
   out.rtt_p99_ms = client.rtt_p99_ms;
   out.rtt_p999_ms = client.rtt_p999_ms;
   out.rtt_samples = client.rtt_samples;
+  out.responded = serve.responded;
   out.slo_attainment_pct = serve.slo_attainment_pct;
   out.drained = serve.live.drained;
   out.completed = client.completed;
@@ -287,7 +291,11 @@ void write_json(const std::string& path, const ProbeResult& probe,
       << "    \"rtt_p99_ms\": " << e2e.rtt_p99_ms << ",\n"
       << "    \"rtt_p999_ms\": " << e2e.rtt_p999_ms << ",\n"
       << "    \"rtt_samples\": " << e2e.rtt_samples << ",\n"
-      << "    \"slo_attainment_pct\": " << e2e.slo_attainment_pct << ",\n"
+      << "    \"responded\": " << e2e.responded << ",\n"
+      << "    \"slo_attainment_pct\": "
+      << (std::isnan(e2e.slo_attainment_pct) ? "null"
+                                             : std::to_string(e2e.slo_attainment_pct))
+      << ",\n"
       << "    \"drained\": " << (e2e.drained ? "true" : "false") << ",\n"
       << "    \"completed\": " << (e2e.completed ? "true" : "false")
       << "\n  }\n}\n";
@@ -342,6 +350,10 @@ int main(int argc, char** argv) {
   }
   if (!e2e.drained || !e2e.completed) {
     std::cerr << "bench_serve: FAIL — loopback e2e did not drain cleanly\n";
+    return 1;
+  }
+  if (e2e.responded == 0) {
+    std::cerr << "bench_serve: FAIL — loopback e2e answered no requests\n";
     return 1;
   }
   std::cout << "bench_serve: PASS — zero steady-state allocations\n";

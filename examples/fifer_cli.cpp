@@ -66,6 +66,7 @@
 //
 // Unknown or malformed flags fail fast: usage on stderr, exit status 2.
 
+#include <cmath>
 #include <cstring>
 #include <exception>
 #include <iostream>
@@ -403,7 +404,10 @@ int run_cli(int argc, char** argv) {
     nt.add_row({"rejected (bad version)",
                 std::to_string(report.rejected_bad_version)});
     nt.add_row({"plan mismatches", std::to_string(report.plan_mismatches)});
-    nt.add_row({"SLO attainment %", fifer::fmt(report.slo_attainment_pct, 2)});
+    // NaN when no request was answered: there is no attainment to report.
+    nt.add_row({"SLO attainment %", std::isnan(report.slo_attainment_pct)
+                                        ? "n/a"
+                                        : fifer::fmt(report.slo_attainment_pct, 2)});
     nt.add_row({"server RTT p50 ms", fifer::fmt(report.rtt_p50_ms, 2)});
     nt.add_row({"server RTT p95 ms", fifer::fmt(report.rtt_p95_ms, 2)});
     nt.add_row({"server RTT p99 ms", fifer::fmt(report.rtt_p99_ms, 2)});
@@ -485,7 +489,6 @@ int run_cli(int argc, char** argv) {
     lt.add_row({"wall time s", fifer::fmt(report.wall_seconds, 2)});
     lt.add_row({"peak worker threads", std::to_string(report.peak_worker_threads)});
     lt.add_row({"timer events", std::to_string(report.timer_events)});
-    lt.add_row({"stats-store writes", std::to_string(report.stats_writes)});
     std::cout << "\n";
     lt.print(std::cout);
 

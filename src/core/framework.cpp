@@ -1,128 +1,40 @@
 #include "core/framework.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
-
-#include "common/check.hpp"
-#include "common/json.hpp"
-#include "common/logging.hpp"
-#include "core/policy/batch_sizer.hpp"
-#include "core/policy/placer.hpp"
-#include "core/policy/scaler.hpp"
-#include "core/policy/scheduler.hpp"
-#include "obs/recording_sink.hpp"
+#include <memory>
+#include <utility>
+#include <vector>
 
 namespace fifer {
 
 FiferFramework::FiferFramework(ExperimentParams params)
-    : params_(std::move(params)),
-      cluster_(params_.cluster),
-      services_(params_.services),
-      apps_(params_.applications),
-      engine_(assemble_policy_engine(params_)),
-      profiles_(params_.mix, apps_, services_, *engine_.batch_sizer,
-                params_.rm.batch_cap),
-      metrics_(params_.warmup_ms),
-      rng_(params_.seed),
-      bus_(params_.bus) {
-  for (const auto& [name, profile] : profiles_.stages()) {
-    stages_.emplace(name, StageState(profile, engine_.scheduler->policy()));
-  }
-  if (!params_.trace_log_path.empty()) {
-    trace_log_.open(params_.trace_log_path);
-    if (!trace_log_) {
-      throw std::runtime_error("FiferFramework: cannot open trace log " +
-                               params_.trace_log_path);
-    }
-  }
-  sink_ = params_.trace_sink;
-  if (sink_ == nullptr && !params_.trace_prefix.empty()) {
-    sink_ = std::make_shared<obs::RecordingTraceSink>();
-  }
-  if (sink_ != nullptr) {
-    prof_ = &profiler_;
-    sim_.set_profiler(prof_);
-    cluster_.set_profiler(prof_);
-  }
+    : RequestPath(std::move(params), static_cast<Pacer&>(*this)) {
+  sim_.set_profiler(profiler());
 }
 
-void FiferFramework::complete_job(Job& job) {
-  job.completion = sim_.now();
-  FIFER_DCHECK_GE(job.completion, job.arrival, kCore);
-  ++completed_jobs_;
-  metrics_.on_job_completed(job);
-  log_job(job);
-  // Records are folded into the aggregates (and the trace log); free them
-  // to keep long runs memory-bounded.
-  job.records.clear();
-  job.records.shrink_to_fit();
+void FiferFramework::run_next_task(StageState& st, Container& c) {
+  if (!c.warm() || c.executing() || c.queued() == 0) return;
+  const TaskRef task = begin_task(st, c);
+  StageState* stp = &st;
+  Container* cp = &c;
+  sim_.after(task.record().exec_ms,
+             [this, stp, cp, task] { finish_task(*stp, *cp, task); });
 }
 
-void FiferFramework::log_job(const Job& job) {
-  if (!trace_log_.is_open()) return;
-  Json j = Json::object();
-  j["type"] = "job";
-  j["id"] = value_of(job.id);
-  j["app"] = job.app->name;
-  j["arrival_ms"] = job.arrival;
-  j["completion_ms"] = job.completion;
-  j["response_ms"] = job.response_ms();
-  j["violated_slo"] = job.violated_slo();
-  Json stages = Json::array();
-  for (std::size_t i = 0; i < job.records.size(); ++i) {
-    if (!job.stage_runs(i)) continue;
-    const StageRecord& rec = job.records[i];
-    Json s = Json::object();
-    s["stage"] = job.app->stages[i];
-    s["enqueued_ms"] = rec.enqueued;
-    s["exec_start_ms"] = rec.exec_start;
-    s["exec_end_ms"] = rec.exec_end;
-    s["cold_wait_ms"] = rec.cold_start_wait_ms;
-    s["container"] = value_of(rec.container);
-    stages.push_back(std::move(s));
-  }
-  j["stages"] = std::move(stages);
-  trace_log_ << j.dump() << '\n';
-}
-
-void FiferFramework::log_container(const std::string& stage, ContainerId id,
-                                   SimDuration cold_ms) {
-  if (!trace_log_.is_open()) return;
-  Json j = Json::object();
-  j["type"] = "container";
-  j["stage"] = stage;
-  j["id"] = value_of(id);
-  j["spawned_ms"] = sim_.now();
-  j["cold_start_ms"] = cold_ms;
-  trace_log_ << j.dump() << '\n';
-}
-
-StageState& FiferFramework::stage_of(const std::string& name) {
-  const auto it = stages_.find(name);
-  if (it == stages_.end()) {
-    throw std::out_of_range("FiferFramework: unknown stage " + name);
-  }
-  return it->second;
+void FiferFramework::on_spawn(StageState& st, Container& c, SimDuration cold_ms) {
+  StageState* stp = &st;
+  const SlabHandle<Container> h = c.handle();
+  sim_.after(cold_ms, [this, stp, h] { container_ready(*stp, h); });
 }
 
 ExperimentResult FiferFramework::run() {
-  // --- offline steps: the batch sizer already shaped the stage profiles in
-  // the constructor; surface those B_size decisions to the trace first so
-  // the decision log opens with the run's static configuration. ---
-  trace_batch_profiles();
+  start();
 
-  // --- predictor pre-training (paper trains on 60% of the trace), static
-  // pools for SBatch: delegated to the scaler. ---
-  engine_.scaler->on_start(*this);
-
-  // --- arrival plan; fed lazily so the event queue stays small. ---
-  Rng arrival_rng = rng_.split(0xA221);
-  const std::vector<Arrival> arrivals = generate_arrivals(
-      params_.trace, params_.mix, arrival_rng, params_.input_scale_jitter);
-  // The pump captures only a weak_ptr to itself — a strong self-capture
-  // would be a shared_ptr cycle and leak; the pending event holds the only
-  // strong ref, so the pump dies with its last scheduled occurrence.
+  // Arrival plan; fed lazily so the event queue stays small. The pump
+  // captures only a weak_ptr to itself — a strong self-capture would be a
+  // shared_ptr cycle and leak; the pending event holds the only strong ref,
+  // so the pump dies with its last scheduled occurrence.
+  const std::vector<Arrival> arrivals = plan_arrivals();
   auto pump = std::make_shared<std::function<void(std::size_t)>>();
   *pump = [this, &arrivals,
            weak = std::weak_ptr<std::function<void(std::size_t)>>(pump)](
@@ -135,383 +47,32 @@ ExperimentResult FiferFramework::run() {
       }
     }
   };
+  SimTime end_of_arrivals = 0.0;
   if (!arrivals.empty()) {
     sim_.at(arrivals.front().time, [pump] { (*pump)(0); });
-    end_of_arrivals_ = arrivals.back().time;
+    end_of_arrivals = arrivals.back().time;
   }
+  install();
 
-  // --- periodic machinery: the scaler registers its load monitor
-  // (Algorithm 1a), proactive predictor (Algorithm 1e), and retraining
-  // ticks; housekeeping (reaper / power / timeline) follows. Registration
-  // order is part of the determinism contract (same-time events fire in
-  // registration order).
-  engine_.scaler->install(*this);
-  sim_.every(params_.housekeeping_interval_ms,
-             [this](SimTime) { housekeeping_tick(); });
-
-  // --- main loop: run until every submitted job completes (or a hard
-  // deadline well past the trace end, as a hang backstop). ---
-  const SimTime trace_end = std::max(params_.trace.duration_ms(), end_of_arrivals_);
+  // Main loop: run until every submitted job completes (or a hard deadline
+  // well past the trace end, as a hang backstop). The experiment covers the
+  // whole trace (including zero-rate tails — that is where scale-down and
+  // power-down behaviour shows), then drains.
+  const SimTime trace_end = std::max(params().trace.duration_ms(), end_of_arrivals);
   const SimTime hard_end = trace_end + minutes(10.0);
   while (sim_.now() < hard_end) {
     sim_.run_until(std::min(sim_.now() + seconds(10.0), hard_end));
-    // The experiment covers the whole trace (including zero-rate tails —
-    // that is where scale-down and power-down behaviour shows), then drains.
-    const bool arrivals_done = sim_.now() >= trace_end;
-    if (arrivals_done && completed_jobs_ == jobs_.size()) break;
+    if (sim_.now() >= trace_end && in_flight() == 0) break;
   }
 
-  cluster_.advance_energy(sim_.now());
-  ExperimentResult result = metrics_.finish(sim_.now(), cluster_.energy_joules());
-  result.policy = params_.rm.name;
-  result.mix = params_.mix.name();
-  result.trace = params_.trace_name;
-  result.bus_transitions = bus_.total_transitions();
+  ExperimentResult result = finish(sim_.now());
   result.sim_events = sim_.events_executed();
-  result.bus_peak_congestion = bus_.peak_congestion();
-  result.predictor_retrains = engine_.scaler->predictor_retrains();
-  export_trace_files();
   return result;
-}
-
-void FiferFramework::trace_batch_profiles() {
-  obs::TraceSink* t = sink_.get();
-  if (t == nullptr) return;
-  for (const auto& [name, st] : stages_) {
-    const StageProfile& prof = st.profile();
-    obs::PolicyDecision d;
-    d.time = sim_.now();
-    d.kind = "batch-size";
-    d.policy = engine_.batch_sizer->name();
-    d.stage = name;
-    d.inputs = {{"exec_ms", prof.exec_ms}, {"slack_ms", prof.slack_ms}};
-    d.outcome = "B_size";
-    d.value = prof.batch;
-    t->on_decision(d);
-  }
-}
-
-void FiferFramework::export_trace_files() {
-  if (params_.trace_prefix.empty()) return;
-  if (const auto* rec = dynamic_cast<const obs::RecordingTraceSink*>(sink_.get())) {
-    rec->export_chrome_trace(params_.trace_prefix + ".trace.json");
-    rec->export_spans_csv(params_.trace_prefix + ".spans.csv");
-    rec->export_decisions_csv(params_.trace_prefix + ".decisions.csv");
-  }
-  // Host-time profile: kept out of the deterministic exports by design.
-  if (!profiler_.empty()) {
-    profiler_.export_csv(params_.trace_prefix + ".profile.csv");
-  }
-}
-
-// ------------------------------------------------------------- workload path
-
-void FiferFramework::submit_job(const Arrival& arrival) {
-  Job& job = jobs_[jobs_.emplace()];
-  job.id = static_cast<JobId>(next_job_id_++);
-  job.app = &apps_.at(arrival.app);
-  job.arrival = sim_.now();
-  job.input_scale = arrival.input_scale;
-  job.records.resize(job.app->stages.size());
-  if (job.app->is_dynamic()) {
-    // Resolve this request's branches up front (data-dependent in a real
-    // deployment; sampled here).
-    job.stage_active.resize(job.app->stages.size());
-    for (std::size_t i = 0; i < job.stage_active.size(); ++i) {
-      job.stage_active[i] = rng_.bernoulli(job.app->stage_prob(i));
-    }
-  }
-
-  metrics_.on_job_submitted(job);
-  sampler_.record_arrival(sim_.now());
-
-  // The first stage also pays the function-transition + data-fetch overhead
-  // (trigger delivery through the event bus), consistent with the chain
-  // response budget = sum(exec) + stages * overhead.
-  transition_to_stage(job, 0);
-}
-
-void FiferFramework::transition_to_stage(Job& job, std::size_t stage_index) {
-  // Dynamic chains: hop over stages this request's branches skip. Skipped
-  // stages cost nothing — the orchestrator short-circuits the transition.
-  std::size_t idx = stage_index;
-  while (idx < job.app->stages.size() && !job.stage_runs(idx)) ++idx;
-  if (idx >= job.app->stages.size()) {
-    complete_job(job);
-    return;
-  }
-
-  const SimDuration latency =
-      bus_.begin_transition(job.app->stage_overhead_ms, rng_);
-  Job* jp = &job;
-  sim_.after(latency, [this, jp, idx] {
-    bus_.end_transition();
-    enqueue_task(*jp, idx);
-  });
-}
-
-void FiferFramework::enqueue_task(Job& job, std::size_t stage_index) {
-  StageState& st = stage_of(job.app->stages[stage_index]);
-  StageRecord& rec = job.records[stage_index];
-  rec.enqueued = sim_.now();
-  const double key = engine_.scheduler->priority_key(*this, job, stage_index);
-  st.enqueue(TaskRef{&job, stage_index}, key);
-  if (obs::TraceSink* t = sink_.get()) {
-    obs::PolicyDecision d;
-    d.time = sim_.now();
-    d.kind = "schedule";
-    d.policy = engine_.scheduler->name();
-    d.stage = st.name();
-    d.inputs = {{"job", static_cast<double>(value_of(job.id))},
-                {"priority_key", key},
-                {"queue_len", static_cast<double>(st.queue_length())}};
-    d.outcome = "enqueued";
-    d.value = key;
-    t->on_decision(d);
-  }
-
-  engine_.scaler->on_arrival(*this, st);
-  dispatch_stage(st);
-}
-
-void FiferFramework::dispatch_stage(StageState& st) {
-  // Covers the scheduler's queue pick (LSF pop) and the placer's container
-  // selection — two of the hot paths the profiler tracks.
-  obs::ScopedTimer timer(prof_, "stage.dispatch");
-  while (!st.queue_empty()) {
-    Container* c = engine_.placer->select_container(st);
-    if (c == nullptr) break;  // No free slot anywhere; scaling will react.
-    TaskRef task = st.pop_next();
-    StageRecord& rec = task.record();
-    rec.dispatched = sim_.now();
-    rec.container = c->id();
-    rec.container_handle = c->handle();
-    if (obs::TraceSink* t = sink_.get()) {
-      rec.batch_slot = c->occupied();
-      rec.slack_at_dispatch_ms = task.job->remaining_slack_ms(
-          sim_.now(),
-          profiles_.app(task.job->app->name).suffix_busy_ms[task.stage_index]);
-      obs::PolicyDecision d;
-      d.time = sim_.now();
-      d.kind = "place";
-      d.policy = engine_.placer->name();
-      d.stage = st.name();
-      d.inputs = {{"job", static_cast<double>(value_of(task.job->id))},
-                  {"batch_slot", static_cast<double>(rec.batch_slot)},
-                  {"slack_ms", rec.slack_at_dispatch_ms}};
-      d.outcome = "container";
-      d.value = static_cast<double>(value_of(c->id()));
-      t->on_decision(d);
-    }
-    c->enqueue(task);
-    if (c->warm() && !c->executing()) {
-      start_next_task(st, *c);
-    }
-  }
-}
-
-void FiferFramework::start_next_task(StageState& st, Container& c) {
-  if (c.queued() == 0) return;
-  TaskRef task = c.pop();
-  StageRecord& rec = task.record();
-  rec.exec_start = sim_.now();
-  // Lifecycle timestamps are causally ordered: a task enters the stage
-  // queue, is bound to a container, then starts executing.
-  FIFER_DCHECK_GE(rec.dispatched, rec.enqueued, kCore);
-  FIFER_DCHECK_GE(rec.exec_start, rec.dispatched, kCore);
-  // The cold-start share of this task's wait is the overlap between its
-  // time in the queue [enqueued, exec_start] and the executing container's
-  // provisioning interval [spawned_at, ready_at]; the rest is genuine
-  // queuing behind other requests.
-  rec.cold_start_wait_ms =
-      std::max(0.0, std::min(sim_.now(), c.ready_at()) -
-                        std::max(rec.enqueued, c.spawned_at()));
-  // The cold-start share is an overlap of two sub-intervals of the wait, so
-  // it can never exceed the total wait.
-  FIFER_DCHECK_LE(rec.cold_start_wait_ms, rec.wait_ms(), kCore);
-  st.record_wait(sim_.now(), rec.wait_ms());
-
-  rec.exec_ms = services_.at(st.name()).sample_exec_ms(rng_, task.job->input_scale);
-  c.begin_execution(sim_.now());
-  Container* cp = &c;
-  StageState* stp = &st;
-  sim_.after(rec.exec_ms, [this, stp, cp, task] { finish_task(*stp, *cp, task); });
-}
-
-void FiferFramework::finish_task(StageState& st, Container& c, TaskRef task) {
-  StageRecord& rec = task.record();
-  rec.exec_end = sim_.now();
-  FIFER_DCHECK_GE(rec.exec_end, rec.exec_start, kCore);
-  c.end_execution(sim_.now());
-  metrics_.on_task_executed(st.name(), rec);
-  if (obs::TraceSink* t = sink_.get()) {
-    obs::SpanRecord span;
-    span.job = value_of(task.job->id);
-    span.app = task.job->app->name;
-    span.stage = st.name();
-    span.stage_index = static_cast<std::uint32_t>(task.stage_index);
-    span.enqueued = rec.enqueued;
-    span.dispatched = rec.dispatched;
-    span.exec_start = rec.exec_start;
-    span.exec_end = rec.exec_end;
-    span.exec_ms = rec.exec_ms;
-    span.cold_wait_ms = rec.cold_start_wait_ms;
-    span.slack_at_dispatch_ms = rec.slack_at_dispatch_ms;
-    span.container = value_of(rec.container);
-    span.container_handle = rec.container_handle;
-    span.batch_slot = rec.batch_slot;
-    t->on_span(span);
-  }
-
-  Job& job = *task.job;
-  // transition_to_stage handles both the next hop and chain completion
-  // (including branch skips); completed jobs' records are folded into the
-  // aggregates and freed there to keep long runs memory-bounded.
-  transition_to_stage(job, task.stage_index + 1);
-
-  if (c.queued() > 0) {
-    start_next_task(st, c);
-  }
-  dispatch_stage(st);  // a slot opened up
-}
-
-// ------------------------------------------------------ container lifecycle
-
-Container* FiferFramework::spawn_container(StageState& st) {
-  const MicroserviceSpec& spec = services_.at(st.name());
-  auto node = cluster_.allocate(spec.cpu_cores, spec.memory_mb,
-                                engine_.placer->node_selection(), sim_.now());
-  if (!node && params_.rm.enable_reclamation && reclaim_idle_capacity()) {
-    node = cluster_.allocate(spec.cpu_cores, spec.memory_mb,
-                             engine_.placer->node_selection(), sim_.now());
-  }
-  if (!node) {
-    metrics_.on_spawn_failure(st.name());
-    return nullptr;
-  }
-  const auto id = static_cast<ContainerId>(next_container_id_++);
-  const SimDuration cold = params_.cold_start.sample_cold_start_ms(spec, rng_);
-  Container& c =
-      st.add_container(id, *node, st.profile().batch, sim_.now(), cold);
-  metrics_.on_container_spawned(st.name());
-  log_container(st.name(), id, cold);
-
-  StageState* stp = &st;
-  const SlabHandle<Container> h = c.handle();
-  sim_.after(cold, [this, stp, h] { on_container_ready(*stp, h); });
-  return &c;
-}
-
-void FiferFramework::terminate_container(StageState& st, Container& c) {
-  const MicroserviceSpec& spec = services_.at(st.name());
-  cluster_.release(c.node(), spec.cpu_cores, spec.memory_mb, sim_.now());
-  c.terminate(sim_.now());
-}
-
-void FiferFramework::every(SimDuration period_ms,
-                           std::function<void(SimTime)> cb) {
-  sim_.every(period_ms, std::move(cb));
-}
-
-void FiferFramework::on_container_ready(StageState& st, SlabHandle<Container> h) {
-  Container* c = st.get(h);
-  // Policies only terminate idle *warm* containers, so a pending cold start
-  // always finds its container alive (the old id lookup threw here too).
-  FIFER_CHECK(c != nullptr && !c->terminated(), kCore)
-      << "cold start completed on a reaped container";
-  c->mark_warm(sim_.now());
-  if (c->queued() > 0) {
-    start_next_task(st, *c);
-  }
-  dispatch_stage(st);
-}
-
-bool FiferFramework::reclaim_idle_capacity() {
-  StageState* victim_stage = nullptr;
-  Container* victim = nullptr;
-  for (auto& [name, st] : stages_) {
-    // Never shrink a stage that has work waiting or only one container.
-    if (st.queue_length() > 0 || st.live_count() <= 1) continue;
-    for (Container& c : st.live()) {
-      if (c.state() != ContainerState::kIdle || c.queued() > 0) continue;
-      if (victim == nullptr || c.last_used_at() < victim->last_used_at()) {
-        victim = &c;
-        victim_stage = &st;
-      }
-    }
-  }
-  if (victim == nullptr) return false;
-  terminate_container(*victim_stage, *victim);
-  victim_stage->erase_terminated();
-  return true;
-}
-
-void FiferFramework::reap_idle_containers() {
-  if (!engine_.scaler->reaps_idle()) return;  // fixed pool
-  for (auto& [name, st] : stages_) {
-    auto live = static_cast<int>(st.live_count());
-    for (Container& c : st.live()) {
-      if (live <= st.keep_warm_floor()) break;  // proactive target holds
-      if (c.idle_expired(sim_.now(), params_.rm.idle_timeout_ms)) {
-        terminate_container(st, c);
-        --live;
-      }
-    }
-    st.erase_terminated();
-  }
-}
-
-void FiferFramework::check_request_conservation() const {
-  // Request conservation: at event boundaries every submitted job is in
-  // exactly one place — completed, resident in some stage (global queue,
-  // container local queue, or executing), or riding a bus transition
-  // between stages. Lost or duplicated requests break this equality.
-  std::uint64_t resident = 0;
-  for (const auto& [name, st] : stages_) {
-    resident += st.queue_length();
-    for (const Container& c : st.live()) {
-      resident += c.queued() + (c.executing() ? 1 : 0);
-    }
-  }
-  FIFER_CHECK_EQ(jobs_.size() - completed_jobs_, resident + bus_.inflight(), kCore)
-      << "submitted=" << jobs_.size() << " completed=" << completed_jobs_
-      << " resident=" << resident << " in-transition=" << bus_.inflight();
-}
-
-void FiferFramework::housekeeping_tick() {
-  check_request_conservation();
-  reap_idle_containers();
-  cluster_.power_down_idle_nodes(sim_.now());
-
-  // Starvation guard: a stage whose queue is non-empty but whose fleet has
-  // neither a free warm slot nor a cold start in flight would otherwise wait
-  // for its next arrival (or forever, under reactive policies that saw the
-  // cluster full). Kubernetes keeps pending pods and schedules them as
-  // capacity frees; we retry here after the reap.
-  for (auto& [name, st] : stages_) {
-    if (st.queue_length() > 0 &&
-        st.warm_free_slots() + st.provisioning_slots() == 0) {
-      engine_.scaler->on_starved(*this, st);
-    }
-  }
-
-  TimelineSample sample;
-  sample.time = sim_.now();
-  for (auto& [name, st] : stages_) {
-    sample.active_containers += static_cast<std::uint32_t>(st.warm_count());
-    sample.provisioning_containers +=
-        static_cast<std::uint32_t>(st.provisioning_count());
-    sample.queued_tasks += st.queue_length();
-  }
-  sample.powered_on_nodes = cluster_.powered_on_nodes();
-  sample.power_watts = cluster_.power_watts();
-  metrics_.record_timeline(sample);
 }
 
 ExperimentResult run_experiment(ExperimentParams params) {
   FiferFramework fw(std::move(params));
-  ExperimentResult result = fw.run();
-  return result;
+  return fw.run();
 }
 
 }  // namespace fifer

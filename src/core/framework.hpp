@@ -1,136 +1,60 @@
 #pragma once
 
-#include <fstream>
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
+#include <functional>
+#include <utility>
 
-#include "cluster/cluster.hpp"
-#include "cluster/event_bus.hpp"
-#include "common/rng.hpp"
-#include "common/slab.hpp"
-#include "core/app_profile.hpp"
 #include "core/experiment_params.hpp"
 #include "core/metrics.hpp"
-#include "core/policy/policy_context.hpp"
-#include "core/policy/policy_engine.hpp"
-#include "core/rm_config.hpp"
-#include "core/stage.hpp"
-#include "obs/profiler.hpp"
-#include "obs/trace_sink.hpp"
-#include "predict/window.hpp"
+#include "core/request_path.hpp"
 #include "sim/simulation.hpp"
-#include "workload/arrival.hpp"
 
 namespace fifer {
 
-/// The Fifer runtime: an event-driven replica of the paper's Brigade-on-
-/// Kubernetes prototype (Figure 5). The framework is the *substrate* — it
-/// owns the simulation clock, the cluster, per-stage state (global queue +
-/// containers + load monitor), and the metrics collector, and moves
-/// requests through their chains. Every resource-management *decision*
-/// (fleet sizing, queue order, placement, batch sizing) is delegated to the
-/// PolicyEngine strategies assembled from `params.rm` (or a custom
-/// `params.policy_factory`), which the framework drives through the
-/// PolicyContext hooks it implements.
+/// The Fifer runtime in simulated time: an event-driven replica of the
+/// paper's Brigade-on-Kubernetes prototype (Figure 5). The request path
+/// (RequestPath: stages, cluster, metrics, and the PolicyEngine strategies
+/// behind the PolicyContext view) runs on a discrete-event Simulation, which
+/// the framework paces as the path's Pacer. Containers are passive: an idle
+/// warm container with queued work starts its next task at once, and the
+/// task's finish is an event at its sampled service time.
 ///
 /// One instance runs one experiment:
 ///
 ///   ExperimentParams p;
 ///   p.trace = poisson_trace(300, 50);
 ///   ExperimentResult r = FiferFramework(p).run();
-class FiferFramework : public PolicyContext {
+class FiferFramework : private Pacer, public RequestPath {
  public:
   explicit FiferFramework(ExperimentParams params);
 
   /// Runs the experiment to completion and returns the collected metrics.
   ExperimentResult run();
 
-  // --- introspection (used by tests) ---
-  const ProfileBook& profiles() const override { return profiles_; }
-  const Cluster& cluster() const { return cluster_; }
-  const std::map<std::string, StageState>& stages() const { return stages_; }
-  const PolicyEngine& engine() const { return engine_; }
-
-  // --- PolicyContext view (called by the policy strategies) ---
+  // The simulation clock, for the Pacer and the PolicyContext alike: each
+  // of these two overrides both bases' declaration.
   SimTime now() const override { return sim_.now(); }
-  const ExperimentParams& params() const override { return params_; }
-  std::map<std::string, StageState>& stages() override { return stages_; }
-  const MicroserviceRegistry& services() const override { return services_; }
-  const ApplicationRegistry& apps() const override { return apps_; }
-  const WindowSampler& sampler() const override { return sampler_; }
-  Container* spawn_container(StageState& st) override;
-  void terminate_container(StageState& st, Container& c) override;
-  void every(SimDuration period_ms, std::function<void(SimTime)> cb) override;
-  /// The run's tracing sink (null when tracing is off). Owned here: one
-  /// sink per framework, so parallel sweeps share no mutable trace state.
-  obs::TraceSink* trace() const override { return sink_.get(); }
+  void every(SimDuration period_ms, std::function<void(SimTime)> cb) override {
+    sim_.every(period_ms, std::move(cb));
+  }
 
  private:
-  // Workload path.
-  void submit_job(const Arrival& arrival);
-  /// Publishes the transition to stage `stage_index` on the event bus; the
-  /// task enters the stage queue when the bus delivers it.
-  void transition_to_stage(Job& job, std::size_t stage_index);
-  void enqueue_task(Job& job, std::size_t stage_index);
-  void dispatch_stage(StageState& st);
-  void start_next_task(StageState& st, Container& c);
-  void finish_task(StageState& st, Container& c, TaskRef task);
+  // --- Pacer ---
+  void after(SimDuration delay, Callback cb) override {
+    sim_.after(delay, std::move(cb));
+  }
+  void on_dispatch(StageState& st, Container& c, TaskRef) override {
+    run_next_task(st, c);
+  }
+  void on_container_idle(StageState& st, Container& c) override {
+    run_next_task(st, c);
+  }
+  void on_spawn(StageState& st, Container& c, SimDuration cold_ms) override;
+  void on_terminate(Container&) override {}
+  void on_job_completed(const Job&) override {}
 
-  // Container lifecycle.
-  /// Frees the least-recently-used idle container of a non-backlogged stage
-  /// to make room when the cluster is full (serverless platforms reclaim
-  /// idle instances under capacity pressure). Returns true if one was
-  /// evicted.
-  bool reclaim_idle_capacity();
-  void on_container_ready(StageState& st, SlabHandle<Container> h);
-  void reap_idle_containers();
+  void run_next_task(StageState& st, Container& c);
 
-  void housekeeping_tick();
-  /// Asserts arrived = completed + resident-in-stages + in-transition; see
-  /// the definition for the precise accounting.
-  void check_request_conservation() const;
-
-  StageState& stage_of(const std::string& name);
-  void complete_job(Job& job);
-  void log_job(const Job& job);
-  void log_container(const std::string& stage, ContainerId id, SimDuration cold_ms);
-  /// Emits the per-stage batch-sizing decisions (offline B_size allocation)
-  /// and exports the recorded trace files when `params.trace_prefix` is set.
-  void trace_batch_profiles();
-  void export_trace_files();
-
-  ExperimentParams params_;
   Simulation sim_;
-  Cluster cluster_;
-  MicroserviceRegistry services_;
-  ApplicationRegistry apps_;
-  /// The assembled policy strategies; must precede profiles_ (the batch
-  /// sizer shapes the stage profiles).
-  PolicyEngine engine_;
-  ProfileBook profiles_;
-  std::map<std::string, StageState> stages_;
-  MetricsCollector metrics_;
-  Rng rng_;
-
-  WindowSampler sampler_;
-  EventBus bus_;
-
-  /// Slab-backed job registry: pointer-stable (queues hold Job*), chunked,
-  /// never erased during a run, so size() is the submitted count.
-  Slab<Job> jobs_;
-  std::ofstream trace_log_;
-  /// Tracing state (null/empty when tracing is off). `sink_` receives spans
-  /// and decisions; `prof_` points at `profiler_` only while tracing so the
-  /// instrumented hot paths reduce to one null check when disabled.
-  std::shared_ptr<obs::TraceSink> sink_;
-  obs::Profiler profiler_;
-  obs::Profiler* prof_ = nullptr;
-  std::uint64_t completed_jobs_ = 0;
-  std::uint64_t next_job_id_ = 0;
-  std::uint64_t next_container_id_ = 0;
-  SimTime end_of_arrivals_ = 0.0;
 };
 
 /// Convenience wrapper: builds the framework and runs it.

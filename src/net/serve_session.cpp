@@ -91,7 +91,7 @@ class LiveServeSource final : public ServerHandler, public ExternalArrivalSource
     }
   }
 
-  // --- ExternalArrivalSource (gateway / runtime-lock side) ---
+  // --- ExternalArrivalSource (run loop / runtime-lock side) ---
 
   void start(ExternalGate& gate, const LiveClock& clock) override {
     clock_ = &clock;
@@ -142,10 +142,11 @@ class LiveServeSource final : public ServerHandler, public ExternalArrivalSource
     report->plan_mismatches = plan_mismatches_.load(std::memory_order_relaxed);
     report->responded = responded_;
     report->slo_violations = slo_violations_;
-    report->slo_attainment_pct =
-        responded_ > 0 ? 100.0 * (1.0 - static_cast<double>(slo_violations_) /
-                                            static_cast<double>(responded_))
-                       : 100.0;
+    if (responded_ > 0) {
+      report->slo_attainment_pct =
+          100.0 * (1.0 - static_cast<double>(slo_violations_) /
+                             static_cast<double>(responded_));
+    }
     Percentiles rtt;
     rtt.add_all(rtt_ms_);
     report->rtt_p50_ms = rtt.median();

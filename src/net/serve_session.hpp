@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "core/experiment_params.hpp"
@@ -47,8 +48,9 @@ struct ServeRunReport {
 
   /// Server-side SLO verdicts over admitted-and-completed requests
   /// (simulated time, same definition as the sim twin's violation count).
+  /// Attainment is undefined (NaN) when nothing was responded to.
   std::uint64_t slo_violations = 0;
-  double slo_attainment_pct = 100.0;
+  double slo_attainment_pct = std::numeric_limits<double>::quiet_NaN();
 
   /// Wall-clock round trip observed at the server: client send stamp ->
   /// response queued (CLOCK_MONOTONIC, valid on one host — the loopback

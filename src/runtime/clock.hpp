@@ -22,8 +22,8 @@ namespace fifer {
 /// experiment's simulated timeline.
 ///
 /// Thread-safety: deliberately lock-free and unannotated. The anchor is
-/// configuration written exactly once by the gateway before any worker
-/// thread is released (`start_pending_workers` runs after `start()`), and
+/// configuration written exactly once by `LiveRuntime::run` before any
+/// worker thread is released (held-back workers start after `start()`), and
 /// every later access is a read — the one shape of shared state the
 /// annotation contract of common/sync.hpp exempts. TSan verifies the
 /// publish ordering in CI.

@@ -7,7 +7,7 @@
 
 /// The live runtime's external-ingestion seam (DESIGN.md §5h): arrivals may
 /// come from outside the process — the socket layer in `src/net/` — instead
-/// of (not in place of; trace replay stays byte-identical) the gateway's
+/// of (not in place of; trace replay stays byte-identical) the runtime's
 /// pre-planned pump. The runtime layer defines only these interfaces; it
 /// never includes net headers, so sim-only builds and tests keep their
 /// dependency surface.
@@ -50,7 +50,7 @@ class ExternalGate {
 
   virtual Admit submit(const ExternalRequest& req) = 0;
 
-  /// Nudges the gateway's drain loop to re-evaluate its done predicate —
+  /// Nudges the runtime's drain loop to re-evaluate its done predicate —
   /// call after externally visible progress (e.g. the last client finished).
   virtual void wake() = 0;
 };
@@ -64,14 +64,14 @@ struct ExternalCompletion {
   bool violated_slo = false;
 };
 
-/// What the gateway drives when `LiveOptions::external_source` is set. One
+/// What the live runtime drives when `LiveOptions::external_source` is set. One
 /// source instance serves one run.
 class ExternalArrivalSource {
  public:
   virtual ~ExternalArrivalSource() = default;
 
   /// The runtime is accepting: workers are released, the clock is anchored.
-  /// Called once, on the gateway thread, before the drain loop starts. The
+  /// Called once, on the run's thread, before the drain loop starts. The
   /// gate and clock outlive the run.
   virtual void start(ExternalGate& gate, const LiveClock& clock) = 0;
 
@@ -81,12 +81,12 @@ class ExternalArrivalSource {
   virtual void on_completion(const ExternalCompletion& done) = 0;
 
   /// Drain predicate: true once the source expects no further submissions
-  /// (e.g. every client sent its FIN). Polled off-lock by the gateway; pair
+  /// (e.g. every client sent its FIN). Polled off-lock by the run loop; pair
   /// state changes with `ExternalGate::wake()`.
   virtual bool finished() = 0;
 
   /// The run is over (drain or hard deadline): stop submitting. Called once
-  /// on the gateway thread before worker teardown; submissions racing this
+  /// on the run's thread before worker teardown; submissions racing this
   /// call get Admit::kDraining.
   virtual void stop() = 0;
 };

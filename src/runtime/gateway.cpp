@@ -1,204 +1,13 @@
 #include "runtime/gateway.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-
-#include "common/check.hpp"
-#include "common/sync.hpp"
-#include "core/policy/scaler.hpp"
-#include "runtime/live_runtime.hpp"
+#include "common/rng.hpp"
+#include "core/request_path.hpp"
 
 namespace fifer {
 
 std::vector<Arrival> materialize_arrival_plan(const ExperimentParams& params) {
   Rng rng(params.seed);
-  Rng arrival_rng = rng.split(0xA221);
-  return generate_arrivals(params.trace, params.mix, arrival_rng,
-                           params.input_scale_jitter);
-}
-
-void Gateway::pump(std::size_t i) {
-  {
-    MutexLock lock(&rt_.mu_);
-    rt_.submit_job(arrivals_[i]);
-    if (i + 1 >= arrivals_.size()) rt_.arrivals_done_ = true;
-  }
-  if (i + 1 < arrivals_.size()) {
-    rt_.timers_.at(arrivals_[i + 1].time, [this, i](SimTime) { pump(i + 1); });
-  }
-}
-
-LiveRunReport Gateway::run() {
-  if (rt_.opts_.external_source != nullptr) return run_external();
-
-  // Arrival plan: the same RNG split the simulator uses (and at the same
-  // point in the seed's draw sequence — after Scaler::on_start), so a
-  // sim/live pair with one seed replays the identical request sequence.
-  // Still single-threaded here; the lock satisfies the guarded-state
-  // contracts at zero contention.
-  SimTime trace_end = 0.0;
-  {
-    MutexLock lock(&rt_.mu_);
-    Rng arrival_rng = rt_.rng_.split(0xA221);
-    arrivals_ = generate_arrivals(rt_.params_.trace, rt_.params_.mix,
-                                  arrival_rng, rt_.params_.input_scale_jitter);
-    rt_.end_of_arrivals_ = arrivals_.empty() ? 0.0 : arrivals_.back().time;
-    rt_.trace_end_ =
-        std::max(rt_.params_.trace.duration_ms(), rt_.end_of_arrivals_);
-    rt_.arrivals_done_ = arrivals_.empty();
-    trace_end = rt_.trace_end_;
-  }
-
-  // Anchor simulated t = 0, then release the workers spawned during offline
-  // setup: their cold-start sleeps are measured from the anchor. Lock order
-  // here is the canonical one: runtime state -> worker queue locks.
-  rt_.clock_.start();
-  {
-    MutexLock lock(&rt_.mu_);
-    rt_.start_pending_workers();
-  }
-
-  // Registration order matches the simulator's determinism contract:
-  // arrival pump, then the scaler's ticks, then housekeeping.
-  if (!arrivals_.empty()) {
-    rt_.timers_.at(arrivals_.front().time, [this](SimTime) { pump(0); });
-  }
-  rt_.engine_.scaler->install(rt_);
-  rt_.timers_.every(rt_.params_.housekeeping_interval_ms, [this](SimTime) {
-    MutexLock lock(&rt_.mu_);
-    rt_.housekeeping_tick();
-  });
-
-  // Bounded shutdown: the hard wall deadline caps the run even if the
-  // workload wedges. Derived budget = trace + drain grace on the scaled
-  // clock, plus a fixed margin for thread scheduling noise.
-  LiveClock::WallTime hard_deadline;
-  if (rt_.opts_.max_wall_seconds > 0.0) {
-    hard_deadline =
-        LiveClock::WallClock::now() +
-        std::chrono::nanoseconds(
-            static_cast<std::int64_t>(rt_.opts_.max_wall_seconds * 1e9));
-  } else {
-    hard_deadline =
-        rt_.clock_.wall_deadline(trace_end + rt_.opts_.drain_grace_ms) +
-        std::chrono::seconds(2);
-  }
-
-  // Drain condition: trace replayed to its end (zero-rate tails included —
-  // that is where scale-down shows), every submitted request completed.
-  // Checked between timer callbacks and on completion wakeups; retired
-  // worker threads are joined here, off the state lock.
-  const auto done = [this] {
-    rt_.cluster_.join_retired();
-    MutexLock lock(&rt_.mu_);
-    return rt_.arrivals_done_ && rt_.clock_.now_ms() >= rt_.trace_end_ &&
-           rt_.completed_jobs_ == rt_.jobs_.size();
-  };
-  const std::uint64_t fired = rt_.timers_.run(done, hard_deadline);
-
-  // Shutdown: stop and join every worker (no locks held — a worker may be
-  // blocked on the state lock in a callback, which must complete first).
-  rt_.cluster_.stop_and_join_all();
-
-  bool drained;
-  {
-    MutexLock lock(&rt_.mu_);
-    drained = rt_.arrivals_done_ && rt_.completed_jobs_ == rt_.jobs_.size();
-  }
-  return assemble_report(fired, drained);
-}
-
-LiveRunReport Gateway::run_external() {
-  ExternalArrivalSource* src = rt_.opts_.external_source;
-  {
-    MutexLock lock(&rt_.mu_);
-    // Consume the plan split anyway: the external twin of a replay run must
-    // leave the experiment seed's draw sequence (cold starts, exec-time
-    // sampling) exactly where the replay run leaves it.
-    (void)rt_.rng_.split(0xA221);
-    rt_.arrivals_done_ = true;  // No planned arrivals in serving mode.
-    rt_.trace_end_ = 0.0;
-    rt_.accepting_external_ = true;
-  }
-
-  rt_.clock_.start();
-  {
-    MutexLock lock(&rt_.mu_);
-    rt_.start_pending_workers();
-  }
-
-  rt_.engine_.scaler->install(rt_);
-  rt_.timers_.every(rt_.params_.housekeeping_interval_ms, [this](SimTime) {
-    MutexLock lock(&rt_.mu_);
-    rt_.housekeeping_tick();
-  });
-
-  // A serving run has no trace length to derive a budget from: the hard
-  // deadline is max_wall_seconds, defaulting to a minute of wall time.
-  const double budget =
-      rt_.opts_.max_wall_seconds > 0.0 ? rt_.opts_.max_wall_seconds : 60.0;
-  const LiveClock::WallTime hard_deadline =
-      LiveClock::WallClock::now() +
-      std::chrono::nanoseconds(static_cast<std::int64_t>(budget * 1e9));
-
-  // Open the front door. From here the source's I/O thread submits through
-  // the gate concurrently with the timer loop below.
-  src->start(rt_, rt_.clock_);
-
-  const auto done = [this, src] {
-    rt_.cluster_.join_retired();
-    if (!src->finished()) return false;
-    MutexLock lock(&rt_.mu_);
-    return rt_.completed_jobs_ == rt_.jobs_.size();
-  };
-  const std::uint64_t fired = rt_.timers_.run(done, hard_deadline);
-
-  // Close the gate before teardown: submissions racing the shutdown are
-  // rejected as draining instead of landing in a dying runtime.
-  {
-    MutexLock lock(&rt_.mu_);
-    rt_.accepting_external_ = false;
-  }
-  src->stop();
-  rt_.cluster_.stop_and_join_all();
-
-  bool drained;
-  {
-    MutexLock lock(&rt_.mu_);
-    drained =
-        src->finished() && rt_.completed_jobs_ == rt_.jobs_.size();
-  }
-  return assemble_report(fired, drained);
-}
-
-LiveRunReport Gateway::assemble_report(std::uint64_t fired, bool drained) {
-  // Single-threaded from here on; the lock closes the guarded-state
-  // contract over the report assembly.
-  MutexLock lock(&rt_.mu_);
-  const SimTime end = rt_.clock_.now_ms();
-  rt_.cluster_.metal().advance_energy(end);
-  ExperimentResult result =
-      rt_.recorder_.finish(end, rt_.cluster_.metal().energy_joules());
-  result.policy = rt_.params_.rm.name;
-  result.mix = rt_.params_.mix.name();
-  result.trace = rt_.params_.trace_name;
-  result.bus_transitions = rt_.bus_.total_transitions();
-  result.bus_peak_congestion = rt_.bus_.peak_congestion();
-  result.predictor_retrains = rt_.engine_.scaler->predictor_retrains();
-  rt_.export_trace_files();
-
-  LiveRunReport report;
-  report.result = std::move(result);
-  report.drained = drained;
-  report.sim_duration_ms = end;
-  report.wall_seconds = (end / rt_.clock_.scale()) / 1000.0;
-  report.time_scale = rt_.clock_.scale();
-  report.timer_events = fired;
-  report.stats_reads = rt_.recorder_.db().reads();
-  report.stats_writes = rt_.recorder_.db().writes();
-  report.peak_worker_threads = rt_.cluster_.peak_workers();
-  return report;
+  return draw_arrival_plan(params, rng);
 }
 
 }  // namespace fifer

@@ -1,65 +1,20 @@
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "workload/arrival.hpp"
 
 namespace fifer {
 
-class LiveRuntime;
-struct LiveRunReport;
 struct ExperimentParams;
 
-/// The arrival plan a run with these params replays: the same RNG split
-/// (0xA221, the first draw from the experiment seed) the simulator and the
-/// live gateway take, so any process — notably the load generator on the
-/// other end of a socket — can materialize the byte-identical request
-/// sequence from the params alone.
+/// The arrival plan a run with these params replays: draw_arrival_plan on a
+/// fresh seed stream, the split the simulator and the live runtime take
+/// right after their offline start, so any process — notably the load
+/// generator on the other end of a socket — can materialize the
+/// byte-identical request sequence from the params alone. A scaler whose
+/// offline start draws from the seed stream (SBatch's static pools) moves
+/// the run's split, so such a run does not replay this plan.
 std::vector<Arrival> materialize_arrival_plan(const ExperimentParams& params);
-
-/// The live runtime's front door, mirroring the prototype's load-generator +
-/// gateway pair: it materializes the arrival plan from the trace (same RNG
-/// split as the simulator, so a sim/live pair replays the *identical*
-/// request sequence), anchors the compressed clock, replays arrivals through
-/// the timer queue in scaled real time, keeps the periodic policy ticks and
-/// housekeeping running, and supervises the end of the run — graceful drain
-/// once the trace is exhausted, bounded shutdown when the wall budget runs
-/// out first.
-///
-/// With `LiveOptions::external_source` set, the pump is skipped entirely:
-/// the gateway opens the runtime's ExternalGate, lets the source (the socket
-/// front-end) submit arrivals, and drains once the source reports finished.
-/// The trace-replay path is untouched — byte-identical to before the seam
-/// existed.
-///
-/// The gateway drives; the LiveRuntime decides. It is constructed by
-/// LiveRuntime::run() on the calling thread and lives for exactly one run.
-class Gateway {
- public:
-  explicit Gateway(LiveRuntime& rt) : rt_(rt) {}
-
-  /// Replays the trace to completion (or the wall budget) and returns the
-  /// assembled report. Called once, on the thread that owns the run.
-  LiveRunReport run();
-
- private:
-  /// Submits arrival `i` and schedules arrival `i + 1`. Self-scheduling, so
-  /// the timer queue holds at most one pending arrival at a time — the live
-  /// analogue of the simulator's lazy arrival pump.
-  void pump(std::size_t i);
-
-  /// Serving mode: arrivals come from opts.external_source via the gate.
-  LiveRunReport run_external();
-
-  /// Shared post-run tail: joins workers' effects into the final metrics
-  /// and builds the report. `drained` = every admitted request completed
-  /// and no more are coming.
-  LiveRunReport assemble_report(std::uint64_t fired, bool drained);
-
-  LiveRuntime& rt_;
-  std::vector<Arrival> arrivals_;
-};
 
 }  // namespace fifer

@@ -16,8 +16,7 @@ const LockClass& retired_lock_class() {
 
 }  // namespace
 
-LiveCluster::LiveCluster(const ClusterSpec& spec)
-    : cluster_(spec), retired_mu_(&retired_lock_class()) {}
+LiveCluster::LiveCluster() : retired_mu_(&retired_lock_class()) {}
 
 void LiveCluster::check_new_worker(std::uint64_t key) const {
   FIFER_CHECK(index_.find(key) == index_.end(), kCluster)
@@ -39,16 +38,9 @@ void LiveCluster::retire(ContainerId id) {
   FIFER_CHECK(worker != nullptr, kCluster)
       << "stale worker handle for container " << value_of(id);
   index_.erase(it);
-  worker_node_.erase(value_of(id));
   worker->request_stop();
   MutexLock lock(&retired_mu_);
   retired_.push_back(Retired{worker, h});
-}
-
-std::size_t LiveCluster::node_workers(NodeId node) const {
-  std::size_t n = 0;
-  for (const auto& [id, nid] : worker_node_) n += (nid == node) ? 1 : 0;
-  return n;
 }
 
 void LiveCluster::reap_joined() {
@@ -82,7 +74,6 @@ void LiveCluster::stop_and_join_all() {
   join_retired();
   for (const auto& [id, h] : index_) workers_.get(h)->join();
   index_.clear();
-  worker_node_.clear();
   {
     MutexLock lock(&retired_mu_);
     joined_.clear();

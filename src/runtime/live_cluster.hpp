@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "cluster/cluster.hpp"
 #include "common/slab.hpp"
 #include "common/sync.hpp"
 #include "common/types.hpp"
@@ -14,58 +12,41 @@
 
 namespace fifer {
 
-/// The live runtime's compute substrate: the simulator's slot-accounted
-/// `Cluster` (nodes, placement, power/energy integration) plus ownership of
-/// the per-node worker-thread groups that animate its containers.
+/// The live runtime's worker threads: one `LiveContainer` per live
+/// container, animating the passive containers that the request path's
+/// `Cluster` accounts for.
 ///
 /// Workers live in a `Slab<LiveContainer>` (DESIGN.md §5g): stable storage
 /// (threads hold `this` across their lifetime), O(1) id -> worker lookup via
 /// a handle index, and no per-worker heap node beyond the slab chunk.
 ///
-/// Two concerns, two locking domains:
-///  - Resource accounting (`allocate`/`release`/power/energy) mutates the
-///    wrapped `Cluster` and the node->worker grouping. Callers hold the
-///    runtime state lock for these, exactly as the simulator's framework
-///    serializes them on the event loop — so the bin-packing placer sees a
-///    consistent free-core view.
-///  - Thread lifecycle (`retire` hand-off, `join_retired`, shutdown) has its
-///    own small mutex, because joins must happen *without* the runtime lock:
-///    a worker blocked on that lock in a callback would deadlock a joiner
-///    holding it. Slab storage for a joined worker is reclaimed later, back
-///    under the runtime lock (`retire` drains the joined list), so the two
-///    domains never touch the slab concurrently.
+/// Two locking domains:
+///  - `adopt` / `worker` / `retire` run inside request-path steps, with the
+///    runtime state lock held, exactly as the simulator serializes spawns
+///    and terminations on its event loop.
+///  - Thread lifecycle (`join_retired`, shutdown) has its own small mutex,
+///    because joins must happen *without* the runtime lock: a worker blocked
+///    on that lock in a callback would deadlock a joiner holding it. Slab
+///    storage for a joined worker is reclaimed later, back under the runtime
+///    lock (`adopt` / `retire` drain the joined list), so the two domains
+///    never touch the slab concurrently.
 class LiveCluster {
  public:
-  explicit LiveCluster(const ClusterSpec& spec);
+  LiveCluster();
 
-  // ----- resource accounting (caller holds the runtime state lock) -----
-
-  std::optional<NodeId> allocate(double cpu, double memory_mb, NodeSelection policy,
-                                 SimTime now) {
-    return cluster_.allocate(cpu, memory_mb, policy, now);
-  }
-  void release(NodeId id, double cpu, double memory_mb, SimTime now) {
-    cluster_.release(id, cpu, memory_mb, now);
-  }
-
-  /// The wrapped accounting cluster (power, energy, node introspection).
-  Cluster& metal() { return cluster_; }
-  const Cluster& metal() const { return cluster_; }
-
-  // ----- worker-thread groups (caller holds the runtime state lock) -----
+  // ----- workers (caller holds the runtime state lock) -----
 
   /// Constructs a worker in place (LiveContainer is neither copyable nor
-  /// movable — it owns a thread), filed under its node. `args...` forward to
+  /// movable — it owns a thread). `args...` forward to
   /// `LiveContainer(id, args...)`.
   template <typename... Args>
-  LiveContainer& adopt(NodeId node, ContainerId id, Args&&... args) {
+  LiveContainer& adopt(ContainerId id, Args&&... args) {
     reap_joined();
     const std::uint64_t key = value_of(id);
     check_new_worker(key);
     const SlabHandle<LiveContainer> h =
         workers_.emplace(id, std::forward<Args>(args)...);
     index_.emplace(key, h);
-    worker_node_.emplace(key, node);
     if (index_.size() > peak_workers_) peak_workers_ = index_.size();
     return *workers_.get(h);
   }
@@ -79,17 +60,13 @@ class LiveCluster {
   /// scale-down terminations.
   void retire(ContainerId id);
 
-  /// Threads currently animating containers (live, not yet retired).
-  std::size_t live_workers() const { return index_.size(); }
-  /// Live workers on one node — the node's "thread group" size.
-  std::size_t node_workers(NodeId node) const;
   /// High-water mark of concurrently live worker threads.
   std::size_t peak_workers() const { return peak_workers_; }
 
   // ----- thread lifecycle (call WITHOUT the runtime state lock) -----
 
   /// Joins retired workers. Cheap when none are pending; call it from the
-  /// gateway loop so long runs do not accumulate exited threads.
+  /// run loop so long runs do not accumulate exited threads.
   void join_retired() FIFER_EXCLUDES(retired_mu_);
 
   /// Shutdown: stop every remaining worker, then join them all. Only from
@@ -108,16 +85,13 @@ class LiveCluster {
   /// Reclaims slab slots of already-joined workers; runtime lock held.
   void reap_joined() FIFER_EXCLUDES(retired_mu_);
 
-  // The accounting members below (cluster_, workers_, index_, worker_node_,
-  // peak_workers_) are serialized externally by the runtime state lock —
-  // LiveRuntime::mu_ — per the "caller holds the runtime state lock"
-  // sections above; a member annotation cannot name another object's
-  // mutex, so this is contract-by-comment, checked by the lock-order
-  // ranks at run time.
-  Cluster cluster_;
+  // The members below (workers_, index_, peak_workers_) are serialized
+  // externally by the runtime state lock — LiveRuntime::mu_ — per the
+  // "caller holds the runtime state lock" section above; a member
+  // annotation cannot name another object's mutex, so this is
+  // contract-by-comment, checked by the lock-order ranks at run time.
   Slab<LiveContainer> workers_;
   std::unordered_map<std::uint64_t, SlabHandle<LiveContainer>> index_;
-  std::unordered_map<std::uint64_t, NodeId> worker_node_;
   std::size_t peak_workers_ = 0;
 
   mutable Mutex retired_mu_;

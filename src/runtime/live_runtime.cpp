@@ -1,257 +1,222 @@
 #include "runtime/live_runtime.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "common/check.hpp"
-#include "core/policy/batch_sizer.hpp"
-#include "core/policy/placer.hpp"
-#include "core/policy/scaler.hpp"
-#include "core/policy/scheduler.hpp"
-#include "obs/recording_sink.hpp"
-#include "runtime/gateway.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace fifer {
 
 namespace {
-
-std::shared_ptr<obs::TraceSink> make_sink(const ExperimentParams& params) {
-  if (params.trace_sink != nullptr) return params.trace_sink;
-  if (!params.trace_prefix.empty()) {
-    return std::make_shared<obs::RecordingTraceSink>();
-  }
-  return nullptr;
-}
 
 const LockClass& runtime_state_lock_class() {
   static const LockClass cls{"runtime.state", sync::lock_rank::kRuntimeState};
   return cls;
 }
 
+LiveClock::WallTime wall_after(double seconds) {
+  return LiveClock::WallClock::now() +
+         std::chrono::nanoseconds(static_cast<std::int64_t>(seconds * 1e9));
+}
+
 }  // namespace
 
 LiveRuntime::LiveRuntime(ExperimentParams params, LiveOptions opts)
     : mu_(&runtime_state_lock_class()),
-      params_(std::move(params)),
       opts_(opts),
       clock_(opts.time_scale),
       timers_(clock_),
-      cluster_(params_.cluster),
-      services_(params_.services),
-      apps_(params_.applications),
-      engine_(assemble_policy_engine(params_)),
-      profiles_(params_.mix, apps_, services_, *engine_.batch_sizer,
-                params_.rm.batch_cap),
-      rng_(params_.seed),
-      bus_(params_.bus),
-      recorder_(params_.warmup_ms, make_sink(params_)) {
-  for (const auto& [name, profile] : profiles_.stages()) {
-    stages_.emplace(name, StageState(profile, engine_.scheduler->policy()));
-    // Intern the per-stage scheduleTime field now, so the hot-path hooks
-    // never touch a string (construction is single-threaded; clang TSA
-    // exempts constructor bodies from the recorder_'s guard).
-    recorder_.prime_stage(name);
-  }
+      path_(std::move(params), *this) {
   // The wire protocol's app numbering: registry insertion order. An app is
   // servable only if every stage of its chain has a provisioned pool (the
-  // mix may cover a subset of the registry).
-  for (const ApplicationChain& chain : apps_.all()) {
+  // mix may cover a subset of the registry). Constructor bodies are exempt
+  // from the guard analysis: nothing else runs yet.
+  for (const ApplicationChain& chain : path_.apps().all()) {
     app_names_.push_back(chain.name);
     bool servable = true;
     for (const std::string& stage : chain.stages) {
-      servable = servable && stages_.find(stage) != stages_.end();
+      servable = servable && path_.stages().count(stage) > 0;
     }
     app_servable_.push_back(servable);
   }
 }
 
 LiveRuntime::~LiveRuntime() {
-  // Normally a no-op (the gateway joined everything); the backstop keeps a
+  // Normally a no-op (run() joined everything); the backstop keeps a
   // throwing run from destroying state under live worker threads.
-  cluster_.stop_and_join_all();
+  workers_.stop_and_join_all();
 }
 
 LiveRunReport LiveRuntime::run() {
   FIFER_CHECK(!ran_, kCore) << "LiveRuntime::run is single-shot";
   ran_ = true;
+  ExternalArrivalSource* src = opts_.external_source;
 
-  // Offline steps, single-threaded, clock still reading 0: surface the
-  // static B_size configuration, then let the scaler pre-train predictors
-  // and size static pools. Workers spawned here are held back (deferred
-  // start) so their cold-start sleeps begin at the anchor. The lock is
-  // uncontended here; it satisfies the REQUIRES contracts uniformly.
+  // Offline steps, single-threaded, clock still reading 0: the B_size log,
+  // predictor pre-training and static pools. Workers spawned here are held
+  // back so their cold-start sleeps begin at the anchor. Then the arrival
+  // plan, drawn at the same point of the seed stream as in the simulator, so
+  // a sim/live pair with one seed replays the identical request sequence.
+  SimTime trace_end = 0.0;
   {
     MutexLock lock(&mu_);
-    trace_batch_profiles();
+    path_.start();
+    if (src == nullptr) {
+      arrivals_ = path_.plan_arrivals();
+      trace_end = std::max(path_.params().trace.duration_ms(),
+                           arrivals_.empty() ? 0.0 : arrivals_.back().time);
+    } else {
+      path_.skip_arrival_plan();
+      accepting_external_ = true;
+    }
+    arrivals_done_ = arrivals_.empty();
   }
-  engine_.scaler->on_start(*this);
 
-  Gateway gateway(*this);
-  return gateway.run();
+  // Anchor simulated t = 0, release the held-back workers, then register
+  // the timers in the simulator's order: arrival pump, the scaler's ticks,
+  // housekeeping.
+  clock_.start();
+  {
+    MutexLock lock(&mu_);
+    begin_step();
+    FIFER_CHECK(clock_.started(), kCore)
+        << "workers must start after the clock anchor";
+    for (LiveContainer* w : pending_start_) w->start();
+    pending_start_.clear();
+    if (!arrivals_.empty()) {
+      timers_.at(arrivals_.front().time, [this](SimTime) { pump(0); });
+    }
+    path_.install();
+  }
+
+  // Bounded shutdown: the hard wall deadline caps the run even if the
+  // workload wedges. A replay derives it from the trace plus the drain
+  // grace on the scaled clock, with a fixed margin for thread scheduling
+  // noise; a serving run has no trace length, so it defaults to a minute.
+  LiveClock::WallTime hard_deadline;
+  if (opts_.max_wall_seconds > 0.0) {
+    hard_deadline = wall_after(opts_.max_wall_seconds);
+  } else if (src != nullptr) {
+    hard_deadline = wall_after(60.0);
+  } else {
+    hard_deadline = clock_.wall_deadline(trace_end + opts_.drain_grace_ms) +
+                    std::chrono::seconds(2);
+  }
+
+  // Open the front door: from here the source's I/O thread submits through
+  // the gate concurrently with the timer loop below.
+  if (src != nullptr) src->start(*this, clock_);
+
+  // Drain condition: no more arrivals coming (the trace replayed to its end,
+  // zero-rate tails included — that is where scale-down shows; or the source
+  // finished), and every submitted request completed. Checked between timer
+  // callbacks and on completion wakeups; retired worker threads are joined
+  // here, off the state lock.
+  const auto done = [this, src, trace_end] {
+    workers_.join_retired();
+    if (src != nullptr && !src->finished()) return false;
+    MutexLock lock(&mu_);
+    return arrivals_done_ && clock_.now_ms() >= trace_end &&
+           path_.in_flight() == 0;
+  };
+  const std::uint64_t fired = timers_.run(done, hard_deadline);
+
+  // Close the gate before teardown: submissions racing the shutdown are
+  // rejected as draining instead of landing in a dying runtime.
+  if (src != nullptr) {
+    {
+      MutexLock lock(&mu_);
+      accepting_external_ = false;
+    }
+    src->stop();
+  }
+  // Stop and join every worker with no lock held: a worker may be blocked
+  // on the state lock in a callback, which must complete first.
+  workers_.stop_and_join_all();
+
+  const bool source_done = src == nullptr || src->finished();
+  MutexLock lock(&mu_);
+  const SimTime end = clock_.now_ms();
+  LiveRunReport report;
+  report.result = path_.finish(end);
+  report.drained = source_done && arrivals_done_ && path_.in_flight() == 0;
+  report.sim_duration_ms = end;
+  report.wall_seconds = (end / clock_.scale()) / 1000.0;
+  report.time_scale = clock_.scale();
+  report.timer_events = fired;
+  report.peak_worker_threads = workers_.peak_workers();
+  return report;
 }
 
-StageState& LiveRuntime::stage_of(const std::string& name) {
-  const auto it = stages_.find(name);
-  FIFER_CHECK(it != stages_.end(), kCore) << "unknown stage " << name;
-  return it->second;
+void LiveRuntime::pump(std::size_t i) {
+  {
+    MutexLock lock(&mu_);
+    begin_step();
+    path_.submit_job(arrivals_[i]);
+    if (i + 1 >= arrivals_.size()) arrivals_done_ = true;
+  }
+  if (i + 1 < arrivals_.size()) {
+    timers_.at(arrivals_[i + 1].time, [this, i](SimTime) { pump(i + 1); });
+  }
 }
 
-const LiveRuntime::ContainerRef& LiveRuntime::container_ref(
-    ContainerId id) const {
+const LiveRuntime::ContainerRef& LiveRuntime::container_ref(ContainerId id) const {
   const auto it = container_refs_.find(value_of(id));
   FIFER_CHECK(it != container_refs_.end(), kCore)
       << "callback from unknown container " << value_of(id);
   return it->second;
 }
 
-void LiveRuntime::start_pending_workers() {
-  FIFER_CHECK(clock_.started(), kCore)
-      << "workers must start after the clock anchor";
-  for (LiveContainer* w : pending_start_) w->start();
-  pending_start_.clear();
-}
+// ------------------------------------------------------------------- Pacer
 
-void LiveRuntime::trace_batch_profiles() {
-  obs::TraceSink* t = recorder_.sink();
-  if (t == nullptr) return;
-  for (const auto& [name, st] : stages_) {
-    const StageProfile& prof = st.profile();
-    obs::PolicyDecision d;
-    d.time = clock_.now_ms();
-    d.kind = "batch-size";
-    d.policy = engine_.batch_sizer->name();
-    d.stage = name;
-    d.inputs = {{"exec_ms", prof.exec_ms}, {"slack_ms", prof.slack_ms}};
-    d.outcome = "B_size";
-    d.value = prof.batch;
-    t->on_decision(d);
-  }
-}
-
-void LiveRuntime::export_trace_files() {
-  if (params_.trace_prefix.empty()) return;
-  if (const auto* rec =
-          dynamic_cast<const obs::RecordingTraceSink*>(recorder_.sink())) {
-    rec->export_chrome_trace(params_.trace_prefix + ".trace.json");
-    rec->export_spans_csv(params_.trace_prefix + ".spans.csv");
-    rec->export_decisions_csv(params_.trace_prefix + ".decisions.csv");
-  }
-  // No .profile.csv in live mode: the host-time profiler instruments the
-  // simulator's hot paths; here wall time *is* the experiment.
-}
-
-// ------------------------------------------------------------- workload path
-
-void LiveRuntime::submit_job(const Arrival& arrival) {
-  Job& job = jobs_[jobs_.emplace()];
-  job.id = static_cast<JobId>(next_job_id_++);
-  job.app = &apps_.at(arrival.app);
-  // Stamped with the actual (scaled) wall instant, not the planned arrival
-  // time: an overloaded gateway admitting late is part of what a live run
-  // measures. SLO deadlines count from this stamp.
-  job.arrival = clock_.now_ms();
-  job.input_scale = arrival.input_scale;
-  job.records.resize(job.app->stages.size());
-  if (job.app->is_dynamic()) {
-    job.stage_active.resize(job.app->stages.size());
-    for (std::size_t i = 0; i < job.stage_active.size(); ++i) {
-      job.stage_active[i] = rng_.bernoulli(job.app->stage_prob(i));
-    }
-  }
-
-  recorder_.on_job_submitted(job);
-  sampler_.record_arrival(job.arrival);
-  transition_to_stage(job, 0);
-}
-
-void LiveRuntime::transition_to_stage(Job& job, std::size_t stage_index) {
-  std::size_t idx = stage_index;
-  while (idx < job.app->stages.size() && !job.stage_runs(idx)) ++idx;
-  if (idx >= job.app->stages.size()) {
-    complete_job(job);
-    return;
-  }
-
-  const SimDuration latency =
-      bus_.begin_transition(job.app->stage_overhead_ms, rng_);
-  Job* jp = &job;  // slab: stable address for the job's lifetime
-  timers_.at(clock_.now_ms() + latency, [this, jp, idx](SimTime) {
+void LiveRuntime::after(SimDuration delay, Callback cb) {
+  timers_.at(now_ + delay, [this, cb = std::move(cb)](SimTime) mutable {
     MutexLock lock(&mu_);
-    bus_.end_transition();
-    enqueue_task(*jp, idx);
+    begin_step();
+    cb();
   });
 }
 
-void LiveRuntime::enqueue_task(Job& job, std::size_t stage_index) {
-  StageState& st = stage_of(job.app->stages[stage_index]);
-  StageRecord& rec = job.records[stage_index];
-  rec.enqueued = clock_.now_ms();
-  const double key = engine_.scheduler->priority_key(*this, job, stage_index);
-  st.enqueue(TaskRef{&job, stage_index}, key);
-  if (obs::TraceSink* t = recorder_.sink()) {
-    obs::PolicyDecision d;
-    d.time = rec.enqueued;
-    d.kind = "schedule";
-    d.policy = engine_.scheduler->name();
-    d.stage = st.name();
-    d.inputs = {{"job", static_cast<double>(value_of(job.id))},
-                {"priority_key", key},
-                {"queue_len", static_cast<double>(st.queue_length())}};
-    d.outcome = "enqueued";
-    d.value = key;
-    t->on_decision(d);
-  }
-
-  engine_.scaler->on_arrival(*this, st);
-  dispatch_stage(st);
+void LiveRuntime::every(SimDuration period_ms, std::function<void(SimTime)> cb) {
+  timers_.every(period_ms, [this, cb = std::move(cb)](SimTime) {
+    MutexLock lock(&mu_);
+    begin_step();
+    cb(now_);
+  });
 }
 
-void LiveRuntime::dispatch_stage(StageState& st) {
-  while (!st.queue_empty()) {
-    Container* c = engine_.placer->select_container(st);
-    if (c == nullptr) break;  // No free slot anywhere; scaling will react.
-    TaskRef task = st.pop_next();
-    StageRecord& rec = task.record();
-    rec.dispatched = clock_.now_ms();
-    rec.container = c->id();
-    rec.container_handle = c->handle();
-    if (obs::TraceSink* t = recorder_.sink()) {
-      rec.batch_slot = c->occupied();
-      rec.slack_at_dispatch_ms = task.job->remaining_slack_ms(
-          rec.dispatched,
-          profiles_.app(task.job->app->name).suffix_busy_ms[task.stage_index]);
-      obs::PolicyDecision d;
-      d.time = rec.dispatched;
-      d.kind = "place";
-      d.policy = engine_.placer->name();
-      d.stage = st.name();
-      d.inputs = {{"job", static_cast<double>(value_of(task.job->id))},
-                  {"batch_slot", static_cast<double>(rec.batch_slot)},
-                  {"slack_ms", rec.slack_at_dispatch_ms}};
-      d.outcome = "container";
-      d.value = static_cast<double>(value_of(c->id()));
-      t->on_decision(d);
-    }
-    // Mirror first, then hand the task to the worker: its queue bound equals
-    // the batch, so the passive slot accounting above makes overflow
-    // impossible — hence the hard check.
-    c->enqueue(task);
-    LiveContainer* worker = cluster_.worker(c->id());
-    FIFER_CHECK(worker != nullptr, kCore)
-        << "dispatch to retired container " << value_of(c->id());
-    FIFER_CHECK(worker->submit(task), kCore)
-        << "live batch queue overflow on container " << value_of(c->id());
+void LiveRuntime::on_dispatch(StageState&, Container& c, TaskRef task) {
+  // The worker's queue bound equals the batch, so the passive slot
+  // accounting makes overflow impossible — hence the hard check.
+  LiveContainer* worker = workers_.worker(c.id());
+  FIFER_CHECK(worker != nullptr, kCore)
+      << "dispatch to retired container " << value_of(c.id());
+  FIFER_CHECK(worker->submit(task), kCore)
+      << "live batch queue overflow on container " << value_of(c.id());
+}
+
+void LiveRuntime::on_spawn(StageState& st, Container& c, SimDuration cold_ms) {
+  container_refs_.emplace(value_of(c.id()), ContainerRef{&st, c.handle()});
+  LiveContainer& worker =
+      workers_.adopt(c.id(), st.name(), clock_, c.spawned_at(), cold_ms,
+                     static_cast<std::size_t>(c.batch_size()), this);
+  if (clock_.started()) {
+    worker.start();
+  } else {
+    pending_start_.push_back(&worker);
   }
 }
 
-void LiveRuntime::complete_job(Job& job) {
-  job.completion = clock_.now_ms();
-  FIFER_DCHECK_GE(job.completion, job.arrival, kCore);
-  ++completed_jobs_;
-  recorder_.on_job_completed(job);
-  job.records.clear();
-  job.records.shrink_to_fit();
+void LiveRuntime::on_terminate(Container& c) {
+  container_refs_.erase(value_of(c.id()));
+  // Stops the worker (it is idle or still provisioning — policies only
+  // terminate containers without resident work); joined off the state lock.
+  workers_.retire(c.id());
+}
 
+void LiveRuntime::on_job_completed(const Job& job) {
   // External mode: emit the request's network span (accept -> admission ->
   // response queued) and hand the completion back to the front-end, which
   // writes the response to the originating connection. Still under mu_ —
@@ -260,7 +225,7 @@ void LiveRuntime::complete_job(Job& job) {
   if (opts_.external_source != nullptr &&
       value_of(job.id) < external_meta_.size()) {
     const ExternalRequest& req = external_meta_[value_of(job.id)];
-    if (obs::TraceSink* t = recorder_.sink()) {
+    if (obs::TraceSink* t = path_.trace()) {
       obs::SpanRecord s;
       s.job = value_of(job.id);
       s.app = job.app->name;
@@ -280,8 +245,44 @@ void LiveRuntime::complete_job(Job& job) {
     opts_.external_source->on_completion(done);
   }
 
-  // Wake the gateway loop so the drain check sees the completion promptly.
+  // Wake the run loop so the drain check sees the completion promptly.
   timers_.notify();
+}
+
+// --------------------------------------------- worker callbacks (data plane)
+
+void LiveRuntime::on_container_ready(ContainerId id) {
+  MutexLock lock(&mu_);
+  begin_step();
+  const ContainerRef& ref = container_ref(id);
+  // Tasks dispatched during provisioning already sit in the worker's queue;
+  // it drains them by itself.
+  path_.container_ready(*ref.stage, ref.handle);
+}
+
+SimDuration LiveRuntime::on_task_begin(ContainerId id, TaskRef task) {
+  MutexLock lock(&mu_);
+  begin_step();
+  const ContainerRef& ref = container_ref(id);
+  Container* c = ref.stage->get(ref.handle);
+  FIFER_CHECK(c != nullptr, kCore)
+      << "task begin on reaped container " << value_of(id);
+  // The passive queue moves in lockstep with the worker's own.
+  const TaskRef begun = path_.begin_task(*ref.stage, *c);
+  FIFER_CHECK(begun.job == task.job && begun.stage_index == task.stage_index,
+              kCore)
+      << "live/passive queue divergence on container " << value_of(id);
+  return begun.record().exec_ms;
+}
+
+void LiveRuntime::on_task_finish(ContainerId id, TaskRef task) {
+  MutexLock lock(&mu_);
+  begin_step();
+  const ContainerRef& ref = container_ref(id);
+  Container* c = ref.stage->get(ref.handle);
+  FIFER_CHECK(c != nullptr, kCore)
+      << "task finish on reaped container " << value_of(id);
+  path_.finish_task(*ref.stage, *c, task);
 }
 
 // ------------------------------------------------- external gate (serving)
@@ -292,216 +293,20 @@ ExternalGate::Admit LiveRuntime::submit(const ExternalRequest& req) {
   if (req.app_index >= app_names_.size() || !app_servable_[req.app_index]) {
     return Admit::kUnknownApp;
   }
-  FIFER_DCHECK_EQ(external_meta_.size(), next_job_id_, kCore);
+  begin_step();
+  FIFER_DCHECK_EQ(external_meta_.size(), path_.submitted(), kCore);
   external_meta_.push_back(req);
-  if (req.received_ms <= 0.0) external_meta_.back().received_ms = clock_.now_ms();
+  if (req.received_ms <= 0.0) external_meta_.back().received_ms = now_;
 
   Arrival arrival;
-  arrival.time = clock_.now_ms();
+  arrival.time = now_;
   arrival.app = app_names_[req.app_index];
   arrival.input_scale = req.input_scale;
-  submit_job(arrival);
+  path_.submit_job(arrival);
   return Admit::kAccepted;
 }
 
 void LiveRuntime::wake() { timers_.notify(); }
-
-// --------------------------------------------- worker callbacks (data plane)
-
-void LiveRuntime::on_container_ready(ContainerId id) {
-  MutexLock lock(&mu_);
-  const ContainerRef& ref = container_ref(id);
-  StageState& st = stage_of(ref.stage);
-  Container* c = st.get(ref.handle);
-  FIFER_CHECK(c != nullptr, kCore)
-      << "ready callback on reaped container " << value_of(id);
-  const SimTime now = clock_.now_ms();
-  c->mark_warm(now);
-  recorder_.on_container_ready(id, now);
-  // Tasks dispatched during provisioning already sit in the worker's queue;
-  // it drains them by itself. Re-dispatch only for placers that pass over
-  // provisioning containers.
-  dispatch_stage(st);
-}
-
-SimDuration LiveRuntime::on_task_begin(ContainerId id, TaskRef task) {
-  MutexLock lock(&mu_);
-  const ContainerRef& ref = container_ref(id);
-  StageState& st = stage_of(ref.stage);
-  Container* cp = st.get(ref.handle);
-  FIFER_CHECK(cp != nullptr, kCore)
-      << "task begin on reaped container " << value_of(id);
-  Container& c = *cp;
-  // Pop the mirrored queue; live and passive queues move in lockstep.
-  TaskRef popped = c.pop();
-  FIFER_CHECK(popped.job == task.job && popped.stage_index == task.stage_index,
-              kCore)
-      << "live/passive queue divergence on container " << value_of(id);
-
-  StageRecord& rec = task.record();
-  rec.exec_start = clock_.now_ms();
-  FIFER_DCHECK_GE(rec.dispatched, rec.enqueued, kCore);
-  FIFER_DCHECK_GE(rec.exec_start, rec.dispatched, kCore);
-  // Same cold-start attribution as the simulator: the overlap of the wait
-  // [enqueued, exec_start] with the container's provisioning interval.
-  rec.cold_start_wait_ms =
-      std::max(0.0, std::min(rec.exec_start, c.ready_at()) -
-                        std::max(rec.enqueued, c.spawned_at()));
-  FIFER_DCHECK_LE(rec.cold_start_wait_ms, rec.wait_ms(), kCore);
-  st.record_wait(rec.exec_start, rec.wait_ms());
-
-  rec.exec_ms =
-      services_.at(st.name()).sample_exec_ms(rng_, task.job->input_scale);
-  c.begin_execution(rec.exec_start);
-  return rec.exec_ms;
-}
-
-void LiveRuntime::on_task_finish(ContainerId id, TaskRef task) {
-  MutexLock lock(&mu_);
-  const ContainerRef& ref = container_ref(id);
-  StageState& st = stage_of(ref.stage);
-  Container* c = st.get(ref.handle);
-  FIFER_CHECK(c != nullptr, kCore)
-      << "task finish on reaped container " << value_of(id);
-  StageRecord& rec = task.record();
-  rec.exec_end = clock_.now_ms();
-  FIFER_DCHECK_GE(rec.exec_end, rec.exec_start, kCore);
-  c->end_execution(rec.exec_end);
-  // Record the stage visit before the transition: chain completion frees the
-  // job's records.
-  recorder_.on_task_executed(st.name(), *task.job, task.stage_index);
-  transition_to_stage(*task.job, task.stage_index + 1);
-  dispatch_stage(st);  // a batch slot opened up
-}
-
-// ------------------------------------------------------ container lifecycle
-
-Container* LiveRuntime::spawn_container(StageState& st) {
-  const MicroserviceSpec& spec = services_.at(st.name());
-  auto node = cluster_.allocate(spec.cpu_cores, spec.memory_mb,
-                                engine_.placer->node_selection(), clock_.now_ms());
-  if (!node && params_.rm.enable_reclamation && reclaim_idle_capacity()) {
-    node = cluster_.allocate(spec.cpu_cores, spec.memory_mb,
-                             engine_.placer->node_selection(), clock_.now_ms());
-  }
-  if (!node) {
-    recorder_.on_spawn_failure(st.name());
-    return nullptr;
-  }
-  const auto id = static_cast<ContainerId>(next_container_id_++);
-  const SimDuration cold = params_.cold_start.sample_cold_start_ms(spec, rng_);
-  const SimTime now = clock_.now_ms();
-  const int batch = st.profile().batch;
-  Container& c = st.add_container(id, *node, batch, now, cold);
-  recorder_.on_container_spawned(st.name(), id, now, cold, batch);
-  container_refs_.emplace(value_of(id), ContainerRef{st.name(), c.handle()});
-
-  LiveContainer& worker =
-      cluster_.adopt(*node, id, st.name(), clock_, now, cold,
-                     static_cast<std::size_t>(batch), this);
-  if (clock_.started()) {
-    worker.start();
-  } else {
-    pending_start_.push_back(&worker);
-  }
-  return &c;
-}
-
-void LiveRuntime::terminate_container(StageState& st, Container& c) {
-  const MicroserviceSpec& spec = services_.at(st.name());
-  const SimTime now = clock_.now_ms();
-  cluster_.release(c.node(), spec.cpu_cores, spec.memory_mb, now);
-  c.terminate(now);
-  recorder_.on_container_terminated(c.id(), now);
-  container_refs_.erase(value_of(c.id()));
-  // Stops the worker (it is idle or still provisioning — policies only
-  // terminate containers without resident work); joined off the state lock.
-  cluster_.retire(c.id());
-}
-
-void LiveRuntime::every(SimDuration period_ms, std::function<void(SimTime)> cb) {
-  timers_.every(period_ms, [this, cb = std::move(cb)](SimTime) {
-    MutexLock lock(&mu_);
-    cb(clock_.now_ms());
-  });
-}
-
-bool LiveRuntime::reclaim_idle_capacity() {
-  StageState* victim_stage = nullptr;
-  Container* victim = nullptr;
-  for (auto& [name, st] : stages_) {
-    if (st.queue_length() > 0 || st.live_count() <= 1) continue;
-    for (Container& c : st.live()) {
-      if (c.state() != ContainerState::kIdle || c.queued() > 0) continue;
-      if (victim == nullptr || c.last_used_at() < victim->last_used_at()) {
-        victim = &c;
-        victim_stage = &st;
-      }
-    }
-  }
-  if (victim == nullptr) return false;
-  terminate_container(*victim_stage, *victim);
-  victim_stage->erase_terminated();
-  return true;
-}
-
-void LiveRuntime::reap_idle_containers() {
-  if (!engine_.scaler->reaps_idle()) return;  // fixed pool
-  for (auto& [name, st] : stages_) {
-    auto live = static_cast<int>(st.live_count());
-    for (Container& c : st.live()) {
-      if (live <= st.keep_warm_floor()) break;
-      if (c.idle_expired(clock_.now_ms(), params_.rm.idle_timeout_ms)) {
-        terminate_container(st, c);
-        --live;
-      }
-    }
-    st.erase_terminated();
-  }
-}
-
-void LiveRuntime::check_request_conservation() const {
-  // Same invariant as the simulator's event boundaries; here mu_ quiesces
-  // the system. A worker between pop and on_task_begin does not disturb it:
-  // its task still counts as container-queued until the host pops the
-  // mirror, executing after.
-  std::uint64_t resident = 0;
-  for (const auto& [name, st] : stages_) {
-    resident += st.queue_length();
-    for (const Container& c : st.live()) {
-      resident += c.queued() + (c.executing() ? 1 : 0);
-    }
-  }
-  FIFER_CHECK_EQ(jobs_.size() - completed_jobs_, resident + bus_.inflight(),
-                 kCore)
-      << "submitted=" << jobs_.size() << " completed=" << completed_jobs_
-      << " resident=" << resident << " in-transition=" << bus_.inflight();
-}
-
-void LiveRuntime::housekeeping_tick() {
-  check_request_conservation();
-  reap_idle_containers();
-  cluster_.metal().power_down_idle_nodes(clock_.now_ms());
-
-  for (auto& [name, st] : stages_) {
-    if (st.queue_length() > 0 &&
-        st.warm_free_slots() + st.provisioning_slots() == 0) {
-      engine_.scaler->on_starved(*this, st);
-    }
-  }
-
-  TimelineSample sample;
-  sample.time = clock_.now_ms();
-  for (auto& [name, st] : stages_) {
-    sample.active_containers += static_cast<std::uint32_t>(st.warm_count());
-    sample.provisioning_containers +=
-        static_cast<std::uint32_t>(st.provisioning_count());
-    sample.queued_tasks += st.queue_length();
-  }
-  sample.powered_on_nodes = cluster_.metal().powered_on_nodes();
-  sample.power_watts = cluster_.metal().power_watts();
-  recorder_.record_timeline(sample);
-}
 
 LiveRunReport run_live(ExperimentParams params, LiveOptions opts) {
   LiveRuntime rt(std::move(params), opts);

@@ -1,36 +1,23 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/slab.hpp"
 #include "common/sync.hpp"
-
-#include "cluster/event_bus.hpp"
-#include "common/rng.hpp"
-#include "core/app_profile.hpp"
 #include "core/experiment_params.hpp"
 #include "core/metrics.hpp"
-#include "core/policy/policy_context.hpp"
-#include "core/policy/policy_engine.hpp"
-#include "core/stage.hpp"
-#include "core/stats_db.hpp"
-#include "predict/window.hpp"
+#include "core/request_path.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/external_source.hpp"
 #include "runtime/live_cluster.hpp"
 #include "runtime/live_container.hpp"
-#include "runtime/recorder.hpp"
 #include "runtime/timer_queue.hpp"
 #include "workload/arrival.hpp"
 
 namespace fifer {
-
-class Gateway;
 
 /// Knobs specific to live execution; everything about the *experiment*
 /// (workload, policies, cluster) still comes from ExperimentParams, so a
@@ -41,8 +28,8 @@ struct LiveOptions {
   /// time; 1 is real time.
   double time_scale = 100.0;
   /// Graceful-drain window after the trace ends: in-flight requests get this
-  /// much *simulated* time to finish before the gateway gives up. Matches
-  /// the simulator's hang backstop.
+  /// much *simulated* time to finish before the run gives up. Matches the
+  /// simulator's hang backstop.
   SimDuration drain_grace_ms = minutes(10.0);
   /// Hard wall-clock budget for the whole run; <= 0 derives it from the
   /// trace length, drain grace, and time scale. The bounded-shutdown
@@ -50,7 +37,7 @@ struct LiveOptions {
   /// wedges, with `drained = false` in the report.
   double max_wall_seconds = 0.0;
   /// When set, the run serves *externally submitted* arrivals (the socket
-  /// front-end) instead of replaying the trace plan: the gateway skips the
+  /// front-end) instead of replaying the trace plan: the run skips the
   /// arrival pump, opens the runtime's ExternalGate, and drains once the
   /// source reports finished(). Non-owning; must outlive the run. In this
   /// mode the hard wall budget is `max_wall_seconds` (default 60 s when
@@ -72,78 +59,58 @@ struct LiveRunReport {
   double time_scale = 1.0;
   /// Timer callbacks fired (arrivals, bus deliveries, ticks, housekeeping).
   std::uint64_t timer_events = 0;
-  /// Stats-store traffic (the paper's §6.1.5 access-cost view).
-  std::uint64_t stats_reads = 0;
-  std::uint64_t stats_writes = 0;
   /// High-water mark of concurrently live container worker threads.
   std::size_t peak_worker_threads = 0;
 };
 
-/// The live-mode executor: the same Fifer control plane as FiferFramework —
-/// identical PolicyContext surface, identical workload path, the *same*
-/// PolicyEngine strategies byte-for-byte — but the data plane is real
-/// threads pacing real (compressed) wall-clock time instead of a discrete
-/// event queue. Containers are worker threads that sleep out cold starts and
-/// service times (LiveContainer); nodes are slot-accounted thread groups
-/// (LiveCluster); events (arrivals, bus deliveries, policy ticks) ride a
-/// wall-clock timer queue (WallTimerQueue).
+/// The live-mode executor: the simulator's request path (RequestPath — the
+/// same stages, metrics, spans and PolicyEngine strategies byte-for-byte),
+/// paced by real threads in real (compressed) wall-clock time instead of a
+/// discrete event queue. Events (arrivals, bus deliveries, policy ticks) ride
+/// a wall-clock timer queue (WallTimerQueue); containers are worker threads
+/// that sleep out cold starts and service times (LiveContainer, owned by
+/// LiveCluster). The run replays the trace plan in scaled real time, or —
+/// with LiveOptions::external_source — serves requests submitted through
+/// the ExternalGate, then drains, or stops at the wall budget.
 ///
 /// Concurrency model — one writer domain, many pacers:
-///  - All decision state (stages, queues, passive containers, cluster
-///    accounting, rng, metrics) is guarded by a single state mutex `mu_`;
-///    policies never see concurrency, exactly as on the simulator's event
-///    loop. Worker threads only *pace*: they sleep, then call back into the
-///    host, which takes `mu_` and runs the same bookkeeping the simulator
-///    runs at its event boundaries.
+///  - The whole request path is one member guarded by a single state mutex
+///    `mu_`; policies never see concurrency, exactly as on the simulator's
+///    event loop. Every timer callback, worker callback and gate submission
+///    is one *step*: it takes `mu_`, reads the clock once, and runs the same
+///    bookkeeping the simulator runs at its event boundaries. Worker threads
+///    only pace: they sleep off every lock.
 ///  - Lock order: `mu_` -> worker queue lock (via submit/retire) and
-///    `mu_` -> timer lock (via at/every/notify). Host callbacks from workers
-///    take `mu_` with no worker lock held. Thread joins happen with no locks
-///    held (LiveCluster's retirement list). The order is machine-enforced:
-///    `mu_` is ranked `lock_rank::kRuntimeState`, every lock below it
-///    `kRuntimeLeaf`, and debug builds trap any inverted acquisition
-///    through the lock-order registry (common/sync.hpp).
+///    `mu_` -> timer lock (via at/every/notify). Worker callbacks take `mu_`
+///    with no worker lock held. Thread joins happen with no locks held
+///    (LiveCluster's retirement list). The order is machine-enforced: `mu_`
+///    is ranked `lock_rank::kRuntimeState`, every lock below it
+///    `kRuntimeLeaf`, and debug builds trap any inverted acquisition through
+///    the lock-order registry (common/sync.hpp).
 ///
 /// One instance runs one experiment, like the framework:
 ///
 ///   LiveRunReport r = LiveRuntime(params, {.time_scale = 100}).run();
-class LiveRuntime : public PolicyContext,
-                    public LiveContainerHost,
-                    public ExternalGate {
+class LiveRuntime : public Pacer, public LiveContainerHost, public ExternalGate {
  public:
   LiveRuntime(ExperimentParams params, LiveOptions opts);
   ~LiveRuntime() override;
 
-  /// Replays the trace in scaled real time and returns the collected
-  /// metrics. Single-shot. Returns within the wall budget (see LiveOptions).
+  /// Runs the experiment and returns the collected metrics. Single-shot.
+  /// Returns within the wall budget (see LiveOptions).
   LiveRunReport run() FIFER_EXCLUDES(mu_);
 
-  // --- introspection (tests; call only before run() or after it returns —
-  // the documented single-threaded phases, hence exempt from analysis) ---
-  const LiveClock& clock() const { return clock_; }
-  const StatsDb& stats_db() const FIFER_NO_THREAD_SAFETY_ANALYSIS {
-    return recorder_.db();
-  }
-  const LiveCluster& live_cluster() const { return cluster_; }
-  const ProfileBook& profiles() const override { return profiles_; }
-
-  // --- PolicyContext view (called by the policy strategies, under mu_) ---
-  SimTime now() const override { return clock_.now_ms(); }
-  const ExperimentParams& params() const override { return params_; }
-  std::map<std::string, StageState>& stages() override FIFER_REQUIRES(mu_) {
-    return stages_;
-  }
-  const MicroserviceRegistry& services() const override { return services_; }
-  const ApplicationRegistry& apps() const override { return apps_; }
-  const WindowSampler& sampler() const override FIFER_REQUIRES(mu_) {
-    return sampler_;
-  }
-  Container* spawn_container(StageState& st) override FIFER_REQUIRES(mu_);
-  void terminate_container(StageState& st, Container& c) override
-      FIFER_REQUIRES(mu_);
+  // --- Pacer (called by the request path, inside a step) ---
+  SimTime now() const override FIFER_REQUIRES(mu_) { return now_; }
+  void after(SimDuration delay, Callback cb) override FIFER_REQUIRES(mu_);
   void every(SimDuration period_ms, std::function<void(SimTime)> cb) override;
-  obs::TraceSink* trace() const override FIFER_NO_THREAD_SAFETY_ANALYSIS {
-    return recorder_.sink();
-  }
+  void on_dispatch(StageState& st, Container& c, TaskRef task) override
+      FIFER_REQUIRES(mu_);
+  void on_container_idle(StageState&, Container&) override {}
+  void on_spawn(StageState& st, Container& c, SimDuration cold_ms) override
+      FIFER_REQUIRES(mu_);
+  void on_terminate(Container& c) override FIFER_REQUIRES(mu_);
+  void on_job_completed(const Job& job) override FIFER_REQUIRES(mu_);
 
   // --- LiveContainerHost hooks (called from worker threads; take mu_) ---
   void on_container_ready(ContainerId id) override FIFER_EXCLUDES(mu_);
@@ -157,74 +124,46 @@ class LiveRuntime : public PolicyContext,
   void wake() override;
 
  private:
-  friend class Gateway;  // the run driver: arrival pump, drain, shutdown
-
-  // Workload path; all require mu_ (compile-enforced under clang TSA).
-  void submit_job(const Arrival& arrival) FIFER_REQUIRES(mu_);
-  void transition_to_stage(Job& job, std::size_t stage_index)
-      FIFER_REQUIRES(mu_);
-  void enqueue_task(Job& job, std::size_t stage_index) FIFER_REQUIRES(mu_);
-  void dispatch_stage(StageState& st) FIFER_REQUIRES(mu_);
-  void complete_job(Job& job) FIFER_REQUIRES(mu_);
-
-  // Container lifecycle / housekeeping; mirror the framework's, mu_ held.
-  bool reclaim_idle_capacity() FIFER_REQUIRES(mu_);
-  void reap_idle_containers() FIFER_REQUIRES(mu_);
-  void housekeeping_tick() FIFER_REQUIRES(mu_);
-  void check_request_conservation() const FIFER_REQUIRES(mu_);
-
   /// Where a passive container lives: its stage plus the slab handle that
-  /// resolves it in O(1) from worker callbacks (no per-stage linear scan).
+  /// resolves it in O(1) from worker callbacks.
   struct ContainerRef {
-    std::string stage;
+    StageState* stage;
     SlabHandle<Container> handle;
   };
 
-  StageState& stage_of(const std::string& name) FIFER_REQUIRES(mu_);
+  /// Opens a step: reads the clock once for everything the step stamps.
+  void begin_step() FIFER_REQUIRES(mu_) { now_ = clock_.now_ms(); }
   const ContainerRef& container_ref(ContainerId id) const FIFER_REQUIRES(mu_);
-  /// Starts workers spawned during offline setup (static pools): their
-  /// cold-start sleeps must be measured from the clock anchor, not before.
-  void start_pending_workers() FIFER_REQUIRES(mu_);
-  void trace_batch_profiles() FIFER_REQUIRES(mu_);
-  void export_trace_files() FIFER_REQUIRES(mu_);
+  /// Submits arrival `i` and schedules arrival `i + 1`. Self-scheduling, so
+  /// the timer queue holds at most one pending arrival at a time — the live
+  /// analogue of the simulator's lazy arrival pump.
+  void pump(std::size_t i) FIFER_EXCLUDES(mu_);
 
   /// The single state lock (see the class comment for the lock order).
   /// Declared first so guarded members below can name it in annotations.
   mutable Mutex mu_;
 
-  // Immutable configuration / internally synchronized machinery: params_,
-  // opts_, clock_ (anchor written pre-concurrency), timers_ (own lock),
-  // services_, apps_, engine_ (strategy objects — their mutable state is
-  // only touched through calls made under mu_), profiles_ (shaped at
-  // construction, read-only after).
-  ExperimentParams params_;
-  LiveOptions opts_;
+  // Immutable after construction, or internally synchronized.
+  const LiveOptions opts_;
   LiveClock clock_;
   WallTimerQueue timers_;
-  /// Accounting half is serialized by mu_ (see LiveCluster); the thread
-  /// lifecycle half has its own internal lock and must be called with mu_
-  /// released, which is why the field itself cannot carry a GUARDED_BY.
-  LiveCluster cluster_;
-  MicroserviceRegistry services_;
-  ApplicationRegistry apps_;
-  /// The assembled policy strategies; must precede profiles_ (the batch
-  /// sizer shapes the stage profiles), exactly as in FiferFramework.
-  PolicyEngine engine_;
-  ProfileBook profiles_;
-  std::map<std::string, StageState> stages_ FIFER_GUARDED_BY(mu_);
-  Rng rng_ FIFER_GUARDED_BY(mu_);
-  WindowSampler sampler_ FIFER_GUARDED_BY(mu_);
-  EventBus bus_ FIFER_GUARDED_BY(mu_);
-  LiveStatsRecorder recorder_ FIFER_GUARDED_BY(mu_);
+  /// Worker threads. Adopt/lookup/retire run inside steps (under mu_);
+  /// joins run with mu_ released, which is why the field itself cannot carry
+  /// a GUARDED_BY.
+  LiveCluster workers_;
 
-  /// Jobs are never erased during a run, so size() is the submitted count;
-  /// slab storage keeps addresses stable for the TaskRef/timer captures.
-  Slab<Job> jobs_ FIFER_GUARDED_BY(mu_);
+  RequestPath path_ FIFER_GUARDED_BY(mu_);
+  /// The current step's clock reading.
+  SimTime now_ FIFER_GUARDED_BY(mu_) = 0.0;
   /// Passive container id -> {stage, slab handle}, for worker callbacks.
   std::unordered_map<std::uint64_t, ContainerRef> container_refs_
       FIFER_GUARDED_BY(mu_);
-  /// Workers created before the clock anchor, started by the gateway.
+  /// Workers created before the clock anchor (static pools, pre-training),
+  /// started by run() once their cold-start sleeps can be measured from it.
   std::vector<LiveContainer*> pending_start_ FIFER_GUARDED_BY(mu_);
+  /// The replayed arrival plan; written by run() before any concurrency,
+  /// read-only afterwards.
+  std::vector<Arrival> arrivals_;
   /// Registry insertion order -> app name: the wire protocol's app_index
   /// numbering. Built at construction, immutable afterwards.
   std::vector<std::string> app_names_;
@@ -236,14 +175,9 @@ class LiveRuntime : public PolicyContext,
   /// External-mode bookkeeping: the original ExternalRequest of job id `i`
   /// at index i (external jobs are the only jobs, and ids are sequential).
   std::vector<ExternalRequest> external_meta_ FIFER_GUARDED_BY(mu_);
-  /// Gate state: only true between the gateway opening the gate (external
-  /// mode, post-anchor) and drain/teardown.
+  /// Gate state: only true between run() opening the gate (external mode)
+  /// and drain/teardown.
   bool accepting_external_ FIFER_GUARDED_BY(mu_) = false;
-  std::uint64_t completed_jobs_ FIFER_GUARDED_BY(mu_) = 0;
-  std::uint64_t next_job_id_ FIFER_GUARDED_BY(mu_) = 0;
-  std::uint64_t next_container_id_ FIFER_GUARDED_BY(mu_) = 0;
-  SimTime end_of_arrivals_ FIFER_GUARDED_BY(mu_) = 0.0;
-  SimTime trace_end_ FIFER_GUARDED_BY(mu_) = 0.0;
   bool arrivals_done_ FIFER_GUARDED_BY(mu_) = false;
   /// Only touched by run() on the driving thread before any concurrency.
   bool ran_ = false;

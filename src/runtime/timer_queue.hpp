@@ -3,9 +3,11 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <vector>
 
+#include "common/inline_function.hpp"
 #include "common/sync.hpp"
 #include "common/types.hpp"
 #include "runtime/clock.hpp"
@@ -33,7 +35,11 @@ namespace fifer {
 ///    the common case — periodic ticks registered back-to-back — stable).
 class WallTimerQueue {
  public:
-  using Callback = std::function<void(SimTime)>;
+  /// Move-only, with its capture stored inline: wide enough to carry a
+  /// request-path step (`Pacer::Callback`) plus the runtime pointer that
+  /// locks around it. Each scheduled entry still makes one shared_ptr
+  /// allocation to hold it (see Entry).
+  using Callback = InlineFunction<void(SimTime), 96>;
 
   explicit WallTimerQueue(const LiveClock& clock);
 

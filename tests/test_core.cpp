@@ -1,5 +1,5 @@
 // Unit tests for src/core: slack allocation, batch sizing, RM presets,
-// profile book, stage state, stats DB, and the metrics collector.
+// profile book, stage state, and the metrics collector.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "core/rm_config.hpp"
 #include "core/slack.hpp"
 #include "core/stage.hpp"
-#include "core/stats_db.hpp"
 #include "workload/mix.hpp"
 
 namespace fifer {
@@ -288,98 +287,6 @@ TEST(StageState, RecentWaitHorizon) {
   EXPECT_DOUBLE_EQ(st.recent_mean_wait_ms(seconds(14.0), seconds(10.0)), 300.0);
   // From much later, nothing.
   EXPECT_DOUBLE_EQ(st.recent_mean_wait_ms(seconds(60.0), seconds(10.0)), 0.0);
-}
-
-// --------------------------------------------------------------- stats db
-
-TEST(StatsDb, ReadWriteIncrementErase) {
-  StatsDb db;
-  EXPECT_FALSE(db.read("job1", "created").has_value());
-  db.write("job1", "created", 42.0);
-  EXPECT_DOUBLE_EQ(db.read("job1", "created").value(), 42.0);
-  EXPECT_DOUBLE_EQ(db.increment("pod1", "free_slots", -1.0), -1.0);
-  EXPECT_DOUBLE_EQ(db.increment("pod1", "free_slots", 3.0), 2.0);
-  EXPECT_TRUE(db.erase("job1"));
-  EXPECT_FALSE(db.erase("job1"));
-  EXPECT_EQ(db.documents(), 1u);
-  EXPECT_GE(db.writes(), 4u);
-  EXPECT_GE(db.reads(), 2u);
-}
-
-TEST(StatsDb, OperationAccountingIsPinned) {
-  // The paper evaluates the stats store purely by its access traffic
-  // (§6.1.5), so the counters are part of the API contract, not an
-  // implementation detail. Pin the exact cost of each operation.
-  StatsDb db;
-  const auto doc = db.create_doc();
-  const auto field = db.intern_field("freeSlots");
-
-  db.write(doc, field, 4.0);
-  EXPECT_EQ(db.reads(), 0u);
-  EXPECT_EQ(db.writes(), 1u);
-
-  EXPECT_DOUBLE_EQ(db.read(doc, field).value(), 4.0);
-  EXPECT_EQ(db.reads(), 1u);
-  EXPECT_EQ(db.read_hits(), 1u);
-  EXPECT_EQ(db.read_misses(), 0u);
-
-  // increment = exactly 1 read + 1 write, never more, never less.
-  EXPECT_DOUBLE_EQ(db.increment(doc, field, -1.0), 3.0);
-  EXPECT_EQ(db.reads(), 2u);
-  EXPECT_EQ(db.writes(), 2u);
-  EXPECT_EQ(db.read_hits(), 2u);
-
-  // Incrementing a missing field is a read miss (starts from 0) + a write.
-  const auto other = db.intern_field("queueDepth");
-  EXPECT_DOUBLE_EQ(db.increment(doc, other, 5.0), 5.0);
-  EXPECT_EQ(db.reads(), 3u);
-  EXPECT_EQ(db.writes(), 3u);
-  EXPECT_EQ(db.read_misses(), 1u);
-
-  // erase = 1 write whether or not the document exists.
-  EXPECT_TRUE(db.erase(doc));
-  EXPECT_EQ(db.writes(), 4u);
-  EXPECT_FALSE(db.erase(doc));
-  EXPECT_EQ(db.writes(), 5u);
-
-  // Reading the erased document is a miss, not a stale hit.
-  EXPECT_FALSE(db.read(doc, field).has_value());
-  EXPECT_EQ(db.read_misses(), 2u);
-}
-
-TEST(StatsDb, InternedIdsAliasStringKeys) {
-  // The string overloads are a shim over the interned columnar store: both
-  // views must observe the same cells.
-  StatsDb db;
-  const auto doc = db.intern_doc("pod7");
-  const auto field = db.intern_field("freeSlots");
-  db.write("pod7", "freeSlots", 8.0);
-  EXPECT_DOUBLE_EQ(db.read(doc, field).value(), 8.0);
-  db.increment(doc, field, -2.0);
-  EXPECT_DOUBLE_EQ(db.read("pod7", "freeSlots").value(), 6.0);
-  EXPECT_TRUE(db.erase(doc));
-  EXPECT_FALSE(db.read("pod7", "freeSlots").has_value());
-  // Const string reads of unknown names count a miss without interning.
-  const auto reads_before = db.reads();
-  EXPECT_FALSE(db.read("never-written", "freeSlots").has_value());
-  EXPECT_EQ(db.reads(), reads_before + 1);
-}
-
-TEST(StatsDb, ErasedDocumentSlotIsIndependentOfOldCells) {
-  // Erase is O(1) via a generation bump: rewriting the document after an
-  // erase must not resurrect its old fields.
-  StatsDb db;
-  const auto doc = db.create_doc();
-  const auto a = db.intern_field("a");
-  const auto b = db.intern_field("b");
-  db.write(doc, a, 1.0);
-  db.write(doc, b, 2.0);
-  EXPECT_TRUE(db.erase(doc));
-  EXPECT_EQ(db.documents(), 0u);
-  db.write(doc, a, 9.0);
-  EXPECT_EQ(db.documents(), 1u);
-  EXPECT_DOUBLE_EQ(db.read(doc, a).value(), 9.0);
-  EXPECT_FALSE(db.read(doc, b).has_value());  // old cell stays dead
 }
 
 // ---------------------------------------------------------------- metrics

@@ -361,6 +361,9 @@ TEST(ServeSession, ZeroRequestDrainHandshake) {
   EXPECT_EQ(report.admitted, 0u);
   EXPECT_EQ(report.live.result.jobs_submitted, 0u);
   EXPECT_EQ(report.net.fins, 1u);
+  // Nothing was answered, so there is no SLO attainment to report.
+  EXPECT_EQ(report.responded, 0u);
+  EXPECT_TRUE(std::isnan(report.slo_attainment_pct));
 }
 
 TEST(ServeSession, ListenFailureIsReportedNotFatal) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 
 #include "core/framework.hpp"
@@ -19,6 +20,13 @@ struct SweepCase {
   const char* policy;
   const char* mix;
 };
+
+// gtest prints the parameter into each test's listed name. Without this it
+// dumps the struct's raw bytes — two string-literal addresses, which ASLR
+// moves on every run — so the listed names would change from run to run.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.policy << '/' << c.mix;
+}
 
 class PolicyMixSweep : public testing::TestWithParam<SweepCase> {};
 

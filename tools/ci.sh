@@ -32,11 +32,12 @@
 # tracing-overhead benchmark (the ≤2% null-sink contract of DESIGN.md §5d
 # only holds in an optimized build), a wall-budgeted live-mode smoke run
 # (a 100x-compressed trace must finish inside its real-time envelope — only
-# meaningful without sanitizer slowdown), and the perf smoke: bench_scale's
-# zero-allocation dispatch probe plus the interned StatsDb microbenchmarks
-# (DESIGN.md §5g), refreshing BENCH_scale.json. Docs hygiene (markdown link
-# check + stale-path / TODO scan) and lint run once at the end; lint uses
-# the sanitizer build's compile database.
+# meaningful without sanitizer slowdown), the perf smoke: bench_scale's
+# zero-allocation dispatch probe (DESIGN.md §5g), refreshing
+# BENCH_scale.json, and a short run of the repo benchmark (perfbench), whose
+# rounds check request conservation, determinism and plan matching. Docs
+# hygiene (markdown link check + stale-path / TODO scan) and lint run once
+# at the end; lint uses the sanitizer build's compile database.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -113,14 +114,13 @@ timeout 30 "$ROOT/build-ci-release/examples/fifer_cli" \
   --live=100 >/dev/null
 
 # Perf smoke (DESIGN.md §5g): bench_scale's steady-state probe must show a
-# zero-allocation dispatch loop (the bench exits non-zero otherwise), and the
-# run refreshes BENCH_scale.json, the machine-readable throughput record the
-# README perf section cites. A short duration keeps this a smoke test — the
-# published numbers come from duration_s=30 runs. The interned StatsDb
-# microbenchmarks run alongside so a hot-path regression in the columnar
-# store shows up here too.
+# zero-allocation dispatch loop, and the run refreshes BENCH_scale.json, the
+# machine-readable throughput record the README perf section cites. A short
+# duration keeps this a smoke test — the published numbers come from
+# duration_s=30 runs. The 1 s warm-up leaves 4 s of measured jobs; the bench
+# exits non-zero on an allocating probe or a policy run that measured none.
 echo "==== [release] perf smoke (zero-alloc probe + BENCH_scale.json refresh)"
-"$ROOT/build-ci-release/bench/bench_scale" duration_s=5 \
+"$ROOT/build-ci-release/bench/bench_scale" duration_s=5 warmup_s=1 \
   json_out="$ROOT/BENCH_scale.json"
 # Serving-path perf smoke (DESIGN.md §5h): bench_serve's epoll probe must
 # show a zero-allocation accept→dispatch→respond cycle and the loopback
@@ -136,9 +136,16 @@ echo "==== [release] serving perf smoke (epoll zero-alloc probe + BENCH_serve.js
 echo "==== [release] predictor perf smoke (zero-alloc forecast probe + BENCH_predict.json refresh)"
 "$ROOT/build-ci-release/bench/bench_predict" epochs=4 probe_forecasts=500 \
   json_out="$ROOT/BENCH_predict.json"
-echo "==== [release] StatsDb hot-path microbenchmarks"
-"$ROOT/build-ci-release/bench/bench_overheads" \
-  --benchmark_filter='BM_StatsDb'
+# The repo benchmark (BENCHMARK.json), one short run per workload: every
+# round checks request conservation against the arrival plan, bit-identical
+# simulator repeats, and a served run that answers the whole plan and drains.
+# It fails on a non-zero exit, or on a result whose checks failed.
+echo "==== [release] repo benchmark (perfbench, checks only)"
+for workload in bline fifer; do
+  (cd "$ROOT" && python3 perfbench/run.py --workload "$workload" --seed 1 \
+     --seconds 1) | tail -n 1 |
+    python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)'
+done
 
 run_leg asan-ubsan "$ROOT/build-ci-asan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
