@@ -8,7 +8,7 @@
 //
 // Live leg (live=1): this is the paper's actual Figure 8 methodology — a
 // real system and the simulator driven by the same trace. We replay the
-// heavy mix through the wall-clock multithreaded runtime (time-compressed
+// heavy mix through the wall-clock live runtime (time-compressed
 // by live_scale, default 100x) behind the byte-identical policy engine and
 // report sim-vs-live deltas per RM: SLO-violation percentage points and
 // peak-container percentage. Keep the offered load inside the prototype's

@@ -37,7 +37,7 @@
 //                         PREFIX.profile.csv. (Not to be confused with
 //                         trace=, the arrival-trace kind.)
 //   --live[=SCALE] / live=SCALE []
-//                         execute on the live multithreaded runtime instead
+//                         execute on the live wall-clock runtime instead
 //                         of the simulator, compressing time by SCALE
 //                         (default 100: 1 wall s = 100 trace s). Multi-
 //                         policy lists run live sequentially. See
@@ -199,6 +199,13 @@ void print_result_table(const fifer::ExperimentResult& r, std::ostream& out) {
   t.print(out);
 }
 
+/// "p50 / p99 / max" of a live-run lag, or "n/a" when nothing was sampled.
+std::string lag_cell(const fifer::LagSummary& lag) {
+  if (lag.samples == 0) return "n/a";
+  return fifer::fmt(lag.p50_ms, 1) + " / " + fifer::fmt(lag.p99_ms, 1) + " / " +
+         fifer::fmt(lag.max_ms, 1);
+}
+
 int run_cli(int argc, char** argv) {
   const std::vector<std::string> args =
       fifer::canonicalize_flags(argc, argv, cli_flags());
@@ -356,6 +363,10 @@ int run_cli(int argc, char** argv) {
     t.add_row({"RTT p99 ms", fifer::fmt(r.rtt_p99_ms, 2)});
     t.add_row({"RTT p99.9 ms", fifer::fmt(r.rtt_p999_ms, 2)});
     t.add_row({"RTT samples (post-warmup)", std::to_string(r.rtt_samples)});
+    if (!lg_opts.closed_loop) {
+      t.add_row({"send lateness p99 ms", fifer::fmt(r.send_lateness_p99_ms, 2)});
+      t.add_row({"send lateness max ms", fifer::fmt(r.send_lateness_max_ms, 2)});
+    }
     t.print(std::cout);
     return r.completed ? 0 : 1;
   }
@@ -487,8 +498,10 @@ int run_cli(int argc, char** argv) {
     lt.add_row({"time compression", fifer::fmt(report.time_scale, 0) + "x"});
     lt.add_row({"trace time replayed s", fifer::fmt(report.sim_duration_ms / 1000.0, 1)});
     lt.add_row({"wall time s", fifer::fmt(report.wall_seconds, 2)});
-    lt.add_row({"peak worker threads", std::to_string(report.peak_worker_threads)});
     lt.add_row({"timer events", std::to_string(report.timer_events)});
+    lt.add_row({"timer lag p50/p99/max sim ms", lag_cell(report.timer_lag)});
+    lt.add_row({"admission lag p50/p99/max sim ms",
+                lag_cell(report.admission_lag)});
     std::cout << "\n";
     lt.print(std::cout);
 

@@ -34,16 +34,16 @@ struct SlabHandle {
   }
 };
 
-/// Slab/arena registry for the data-plane entities (containers, jobs, live
-/// workers): chunked pointer-stable storage with freelist slot reuse and
+/// Slab/arena registry for the data-plane entities (containers, jobs, server
+/// connections): chunked pointer-stable storage with freelist slot reuse and
 /// generation-checked handles (DESIGN.md §5g).
 ///
 /// Properties the hot path relies on:
 ///  - **No per-entity heap allocation.** Storage grows in chunks of
 ///    `kChunkSize` elements; a steady-state spawn/terminate cycle recycles
 ///    freelist slots and never touches the allocator.
-///  - **Pointer stability.** Elements are never moved or copied, so `T` may
-///    be non-movable (a LiveContainer owning a worker thread) and raw
+///  - **Pointer stability.** Elements are never moved or copied, so `T`
+///    need be neither movable nor copyable, and raw
 ///    pointers/references stay valid until that element is erased.
 ///  - **Deterministic, scan-friendly iteration order.** Live slot indices
 ///    sit densely in an *insertion-order* vector, so iterating a slab is

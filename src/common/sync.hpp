@@ -93,8 +93,8 @@ namespace lock_rank {
 inline constexpr int kUnranked = -1;
 /// LiveRuntime::mu_ — the single decision-state lock; taken first.
 inline constexpr int kRuntimeState = 10;
-/// Pacing-layer leaves under the runtime state lock: container batch
-/// queues, the wall timer queue, the retirement list.
+/// Leaves under the runtime state lock: the serving front-end's respond
+/// channel.
 inline constexpr int kRuntimeLeaf = 20;
 /// Tooling locks never nested with the runtime: thread-pool queue, sweep
 /// progress serialization, parallel-for first-error capture.
@@ -104,8 +104,9 @@ inline constexpr int kReport = 100;
 }  // namespace lock_rank
 
 /// One lock *role* (not one lock instance): all mutexes sharing a class are
-/// interchangeable for ordering purposes — e.g. every LiveContainer queue
-/// lock is the same class. Instances must have static storage duration.
+/// interchangeable for ordering purposes — e.g. every serving front-end's
+/// respond-channel lock is the same class. Instances must have static
+/// storage duration.
 struct LockClass {
 #if FIFER_LOCK_ORDER_ENABLED
   LockClass(const char* name, int rank);

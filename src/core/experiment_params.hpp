@@ -39,7 +39,7 @@ struct ExperimentParams {
   /// Fraction of the trace used to pre-train ML predictors (paper: 60%).
   double train_fraction = 0.6;
   std::uint64_t seed = 1;
-  /// Jobs arriving before this time are excluded from metrics.
+  /// Jobs planned to arrive before this time are excluded from metrics.
   SimDuration warmup_ms = 0.0;
   /// Std-dev of per-request input-size scaling (0 = fixed-size inputs).
   /// Execution times scale linearly with input size (paper §2.2.2), so this

@@ -12,21 +12,6 @@ FiferFramework::FiferFramework(ExperimentParams params)
   sim_.set_profiler(profiler());
 }
 
-void FiferFramework::run_next_task(StageState& st, Container& c) {
-  if (!c.warm() || c.executing() || c.queued() == 0) return;
-  const TaskRef task = begin_task(st, c);
-  StageState* stp = &st;
-  Container* cp = &c;
-  sim_.after(task.record().exec_ms,
-             [this, stp, cp, task] { finish_task(*stp, *cp, task); });
-}
-
-void FiferFramework::on_spawn(StageState& st, Container& c, SimDuration cold_ms) {
-  StageState* stp = &st;
-  const SlabHandle<Container> h = c.handle();
-  sim_.after(cold_ms, [this, stp, h] { container_ready(*stp, h); });
-}
-
 ExperimentResult FiferFramework::run() {
   start();
 

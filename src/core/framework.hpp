@@ -14,9 +14,9 @@ namespace fifer {
 /// paper's Brigade-on-Kubernetes prototype (Figure 5). The request path
 /// (RequestPath: stages, cluster, metrics, and the PolicyEngine strategies
 /// behind the PolicyContext view) runs on a discrete-event Simulation, which
-/// the framework paces as the path's Pacer. Containers are passive: an idle
-/// warm container with queued work starts its next task at once, and the
-/// task's finish is an event at its sampled service time.
+/// the framework paces as the path's Pacer: every step of the path — an
+/// arrival, a bus delivery, a container's ready or finish event, a policy
+/// tick — is one event.
 ///
 /// One instance runs one experiment:
 ///
@@ -42,17 +42,7 @@ class FiferFramework : private Pacer, public RequestPath {
   void after(SimDuration delay, Callback cb) override {
     sim_.after(delay, std::move(cb));
   }
-  void on_dispatch(StageState& st, Container& c, TaskRef) override {
-    run_next_task(st, c);
-  }
-  void on_container_idle(StageState& st, Container& c) override {
-    run_next_task(st, c);
-  }
-  void on_spawn(StageState& st, Container& c, SimDuration cold_ms) override;
-  void on_terminate(Container&) override {}
   void on_job_completed(const Job&) override {}
-
-  void run_next_task(StageState& st, Container& c);
 
   Simulation sim_;
 };

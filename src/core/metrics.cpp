@@ -18,12 +18,12 @@ StageMetrics& MetricsCollector::stage(const std::string& name) {
 }
 
 void MetricsCollector::on_job_submitted(const Job& job) {
-  if (job.arrival < warmup_ms_) return;
+  if (job.planned < warmup_ms_) return;
   ++result_.jobs_submitted;
 }
 
 void MetricsCollector::on_job_completed(const Job& job) {
-  if (job.arrival < warmup_ms_) return;
+  if (job.planned < warmup_ms_) return;
   ++result_.jobs_completed;
   if (job.violated_slo()) ++result_.slo_violations;
   result_.response_ms.add(job.response_ms());

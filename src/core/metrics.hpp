@@ -106,6 +106,8 @@ class MetricsCollector {
  public:
   explicit MetricsCollector(SimTime warmup_ms = 0.0) : warmup_ms_(warmup_ms) {}
 
+  /// Counts a job whose planned arrival lies past the warm-up (Job::planned;
+  /// jobs planned inside the warm-up are left out of every aggregate).
   void on_job_submitted(const Job& job);
   /// Folds a finished job into the aggregates (latency breakdown, SLO).
   void on_job_completed(const Job& job);

@@ -16,8 +16,7 @@ namespace fifer {
 
 Rng split_arrival_stream(Rng& run_rng) { return run_rng.split(0xA221); }
 
-std::vector<Arrival> draw_arrival_plan(const ExperimentParams& params, Rng& run_rng) {
-  Rng arrival_rng = split_arrival_stream(run_rng);
+std::vector<Arrival> draw_arrival_plan(const ExperimentParams& params, Rng arrival_rng) {
   return generate_arrivals(params.trace, params.mix, arrival_rng,
                            params.input_scale_jitter);
 }
@@ -33,6 +32,7 @@ RequestPath::RequestPath(ExperimentParams params, Pacer& pacer)
                 params_.rm.batch_cap),
       metrics_(params_.warmup_ms),
       rng_(params_.seed),
+      arrival_rng_(split_arrival_stream(rng_)),
       bus_(params_.bus) {
   for (const auto& [name, profile] : profiles_.stages()) {
     stages_.emplace(name, StageState(profile, engine_.scheduler->policy()));
@@ -69,11 +69,9 @@ void RequestPath::start() {
   engine_.scaler->on_start(*this);
 }
 
-std::vector<Arrival> RequestPath::plan_arrivals() {
-  return draw_arrival_plan(params_, rng_);
+std::vector<Arrival> RequestPath::plan_arrivals() const {
+  return draw_arrival_plan(params_, arrival_rng_);
 }
-
-void RequestPath::skip_arrival_plan() { (void)split_arrival_stream(rng_); }
 
 void RequestPath::install() {
   engine_.scaler->install(*this);
@@ -106,6 +104,7 @@ void RequestPath::submit_job(const Arrival& arrival) {
   job.id = static_cast<JobId>(next_job_id_++);
   job.app = &apps_.at(arrival.app);
   job.arrival = now;
+  job.planned = arrival.time;
   job.input_scale = arrival.input_scale;
   job.records.resize(job.app->stages.size());
   if (job.app->is_dynamic()) {
@@ -199,8 +198,17 @@ void RequestPath::dispatch_stage(StageState& st) {
       t->on_decision(d);
     }
     c->enqueue(task);
-    pacer_.on_dispatch(st, *c, task);
+    run_next_task(st, *c);
   }
+}
+
+void RequestPath::run_next_task(StageState& st, Container& c) {
+  if (!c.warm() || c.executing() || c.queued() == 0) return;
+  const TaskRef task = begin_task(st, c);
+  StageState* stp = &st;
+  const SlabHandle<Container> h = c.handle();
+  pacer_.after(task.record().exec_ms,
+               [this, stp, h, task] { finish_task(*stp, h, task); });
 }
 
 TaskRef RequestPath::begin_task(StageState& st, Container& c) {
@@ -228,7 +236,14 @@ TaskRef RequestPath::begin_task(StageState& st, Container& c) {
   return task;
 }
 
-void RequestPath::finish_task(StageState& st, Container& c, TaskRef task) {
+void RequestPath::finish_task(StageState& st, SlabHandle<Container> h,
+                              TaskRef task) {
+  Container* cp = st.get(h);
+  // Policies only terminate containers without resident work, so a task
+  // always finishes on a live container.
+  FIFER_CHECK(cp != nullptr && !cp->terminated(), kCore)
+      << "task finish on a reaped container";
+  Container& c = *cp;
   const SimTime now = pacer_.now();
   StageRecord& rec = task.record();
   rec.exec_end = now;
@@ -258,7 +273,7 @@ void RequestPath::finish_task(StageState& st, Container& c, TaskRef task) {
   // (including branch skips); completed jobs' records are folded into the
   // aggregates and freed there to keep long runs memory-bounded.
   transition_to_stage(*task.job, task.stage_index + 1);
-  pacer_.on_container_idle(st, c);
+  run_next_task(st, c);
   dispatch_stage(st);  // a slot opened up
 }
 
@@ -295,7 +310,9 @@ Container* RequestPath::spawn_container(StageState& st) {
   Container& c = st.add_container(id, *node, st.profile().batch, now, cold);
   metrics_.on_container_spawned(st.name());
   log_container(st.name(), id, cold);
-  pacer_.on_spawn(st, c, cold);
+  StageState* stp = &st;
+  const SlabHandle<Container> h = c.handle();
+  pacer_.after(cold, [this, stp, h] { container_ready(*stp, h); });
   return &c;
 }
 
@@ -304,7 +321,6 @@ void RequestPath::terminate_container(StageState& st, Container& c) {
   const MicroserviceSpec& spec = services_.at(st.name());
   cluster_.release(c.node(), spec.cpu_cores, spec.memory_mb, now);
   c.terminate(now);
-  pacer_.on_terminate(c);
 }
 
 void RequestPath::container_ready(StageState& st, SlabHandle<Container> h) {
@@ -314,7 +330,7 @@ void RequestPath::container_ready(StageState& st, SlabHandle<Container> h) {
   FIFER_CHECK(c != nullptr && !c->terminated(), kCore)
       << "cold start completed on a reaped container";
   c->mark_warm(pacer_.now());
-  pacer_.on_container_idle(st, *c);
+  run_next_task(st, *c);
   // Placers that pass over provisioning containers left work in the stage
   // queue for this one.
   dispatch_stage(st);
@@ -360,9 +376,7 @@ void RequestPath::check_request_conservation() const {
   // Request conservation: at step boundaries every submitted job is in
   // exactly one place — completed, resident in some stage (global queue,
   // container local queue, or executing), or riding a bus transition
-  // between stages. Lost or duplicated requests break this equality. In
-  // live mode a worker between its own pop and begin_task still counts as
-  // container-queued: the passive queue is popped by begin_task.
+  // between stages. Lost or duplicated requests break this equality.
   std::uint64_t resident = 0;
   for (const auto& [name, st] : stages_) {
     resident += st.queue_length();

@@ -27,23 +27,23 @@
 namespace fifer {
 
 /// Splits the arrival stream off `run_rng`, a run's seed stream. Every
-/// arrival plan is drawn from this split, so one seed gives one request
-/// sequence in the simulator, a live replay and a load generator.
+/// arrival plan is drawn from this split, taken before anything else draws
+/// from the seed stream, so one seed gives one request sequence in the
+/// simulator, a live replay and a load generator.
 Rng split_arrival_stream(Rng& run_rng);
 
-/// The arrival plan of a run with these params, drawn from the split of
-/// `run_rng` (see split_arrival_stream).
-std::vector<Arrival> draw_arrival_plan(const ExperimentParams& params, Rng& run_rng);
+/// The arrival plan of a run with these params, drawn from `arrival_rng`, a
+/// split made by split_arrival_stream.
+std::vector<Arrival> draw_arrival_plan(const ExperimentParams& params, Rng arrival_rng);
 
 /// What differs between running the request path in simulated time and in
-/// wall-clock time: the clock, the timers, and who executes a container's
-/// tasks. The simulator implements it on its event queue (FiferFramework);
-/// live mode on a wall-clock timer queue with one worker thread per
-/// container (LiveRuntime).
+/// wall-clock time: the clock and its timers. The simulator implements it on
+/// its event queue (FiferFramework); live mode on the same event queue, fired
+/// when a scaled wall clock reaches each event (LiveRuntime).
 ///
 /// RequestPath calls every method from inside one *step* of the run — an
-/// event, a timer callback, or a worker callback — and each step must run
-/// alone, as on the simulator's event loop.
+/// event, or a live gate submission — and each step must run alone, as on
+/// the simulator's event loop.
 class Pacer {
  public:
   using Callback = InlineFunction<void(), 64>;
@@ -53,22 +53,12 @@ class Pacer {
   /// The current step's time. Every read within one step returns the same
   /// value: a step reads the clock once.
   virtual SimTime now() const = 0;
-  /// Runs `cb` as a step of its own, `delay` ms from now.
+  /// Runs `cb` as a step of its own, `delay` ms from now. Steps due at the
+  /// same time run in the order they were scheduled.
   virtual void after(SimDuration delay, Callback cb) = 0;
   /// Runs `cb(now)` as a step of its own every `period_ms`, first at
   /// now + period. Same-time steps fire in registration order.
   virtual void every(SimDuration period_ms, std::function<void(SimTime)> cb) = 0;
-
-  /// `task` just joined `c`'s local queue.
-  virtual void on_dispatch(StageState& st, Container& c, TaskRef task) = 0;
-  /// `c` has nothing executing and may start its next queued task: its cold
-  /// start ended or its task finished.
-  virtual void on_container_idle(StageState& st, Container& c) = 0;
-  /// `c` was spawned; once `cold_ms` has passed it reports ready through
-  /// RequestPath::container_ready.
-  virtual void on_spawn(StageState& st, Container& c, SimDuration cold_ms) = 0;
-  /// `c` was terminated (it held no work).
-  virtual void on_terminate(Container& c) = 0;
   /// `job` finished its chain; its stage records are already folded into
   /// the metrics and freed.
   virtual void on_job_completed(const Job& job) = 0;
@@ -81,13 +71,16 @@ class Pacer {
 /// chains. Every resource-management *decision* (fleet sizing, queue order,
 /// placement, batch sizing) is delegated to the PolicyEngine strategies
 /// assembled from `params.rm` (or a custom `params.policy_factory`), which
-/// see the run through the PolicyContext this class implements. The clock
-/// and the execution of tasks come from a Pacer.
+/// see the run through the PolicyContext this class implements. Containers
+/// are passive: a spawn schedules a ready event at the end of its cold
+/// start, an idle warm container with queued work starts its next task at
+/// once, and the task's finish is an event at its sampled service time. The
+/// clock and the timers come from a Pacer.
 ///
 /// A driver runs one experiment in this order (both drivers do):
 ///
 ///   start();                      // offline: B_size log, pre-training
-///   plan = plan_arrivals();       // then schedule submit_job(plan[i])
+///   plan = plan_arrivals();       // replays: schedule submit_job(plan[i])
 ///   install();                    // scaler ticks, then housekeeping
 ///   ...pace steps until in_flight() == 0 past the trace end...
 ///   ExperimentResult r = finish(end);
@@ -126,28 +119,18 @@ class RequestPath : public PolicyContext {
   /// decisions (so the decision log opens with the static configuration),
   /// then lets the scaler pre-train predictors and size static pools.
   void start();
-  /// The arrival plan, drawn from the run's seed stream with the split both
-  /// drivers take right after start(): one seed, one request sequence.
-  std::vector<Arrival> plan_arrivals();
-  /// Draws the same split without building the plan. A served run takes its
-  /// arrivals from outside, but its seed stream must stay where its replay
-  /// twin leaves it.
-  void skip_arrival_plan();
+  /// The arrival plan, drawn from the split of the run's seed stream that
+  /// the constructor takes before anything else draws from it: one seed, one
+  /// request sequence, whatever the scaler's offline start draws. A served
+  /// run takes its arrivals from outside and never calls this.
+  std::vector<Arrival> plan_arrivals() const;
   /// Registers the scaler's periodic ticks (load monitor, predictor,
   /// retraining), then housekeeping (reaper / power / timeline).
   /// Registration order is part of the determinism contract.
   void install();
-  /// Admits one request at now() and sends it toward its first stage.
+  /// Admits one request at now(), planned for `arrival.time`, and sends it
+  /// toward its first stage.
   void submit_job(const Arrival& arrival);
-  /// `c` starts its next queued task: pops it, stamps the wait, samples the
-  /// service time into the task's record and marks `c` busy. Precondition:
-  /// `c` is warm, idle, and has a queued task.
-  TaskRef begin_task(StageState& st, Container& c);
-  /// `task` finished executing on `c`: records the stage visit, moves the
-  /// job on, and refills the stage.
-  void finish_task(StageState& st, Container& c, TaskRef task);
-  /// `h`'s cold start finished.
-  void container_ready(StageState& st, SlabHandle<Container> h);
   /// Closes the run at `end`: integrates energy, finalizes the metrics, and
   /// exports the trace files when `params.trace_prefix` is set.
   ExperimentResult finish(SimTime end);
@@ -160,6 +143,19 @@ class RequestPath : public PolicyContext {
   void enqueue_task(Job& job, std::size_t stage_index);
   void dispatch_stage(StageState& st);
   void complete_job(Job& job);
+
+  /// If `c` is warm and idle with queued work, starts its next task and
+  /// schedules that task's finish event.
+  void run_next_task(StageState& st, Container& c);
+  /// `c` starts its next queued task: pops it, stamps the wait, samples the
+  /// service time into the task's record and marks `c` busy. Precondition:
+  /// `c` is warm, idle, and has a queued task.
+  TaskRef begin_task(StageState& st, Container& c);
+  /// The finish event: `task` finished executing on `h`. Records the stage
+  /// visit, moves the job on, and refills the container and the stage.
+  void finish_task(StageState& st, SlabHandle<Container> h, TaskRef task);
+  /// The ready event: `h`'s cold start finished.
+  void container_ready(StageState& st, SlabHandle<Container> h);
 
   /// Frees the least-recently-used idle container of a non-backlogged stage
   /// to make room when the cluster is full (serverless platforms reclaim
@@ -190,6 +186,8 @@ class RequestPath : public PolicyContext {
   std::map<std::string, StageState> stages_;
   MetricsCollector metrics_;
   Rng rng_;
+  /// The arrival plan's stream, split off `rng_` at construction.
+  Rng arrival_rng_;
 
   WindowSampler sampler_;
   EventBus bus_;

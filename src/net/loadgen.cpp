@@ -21,12 +21,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::uint64_t monotonic_ns() {
+std::uint64_t to_ns(Clock::time_point t) {
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          Clock::now().time_since_epoch())
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t.time_since_epoch())
           .count());
 }
+
+std::uint64_t monotonic_ns() { return to_ns(Clock::now()); }
 
 /// Client side of one connection: like the server's Connection but parsing
 /// responses, and sized for the request stream (fixed inline buffers — the
@@ -82,6 +83,9 @@ struct ClientConn {
 struct Tally {
   LoadGenReport report;
   std::vector<double> rtt_ms;
+  /// Open loop: how late each request left after its planned send instant.
+  P2Quantile lateness_p99{0.99};
+  double lateness_max_ms = 0.0;
 };
 
 /// Drains the socket and parses response frames. Returns false when the
@@ -163,6 +167,8 @@ LoadGenReport run_loadgen(const std::vector<Arrival>& plan,
     report.rtt_p99_ms = rtt.p99();
     report.rtt_p999_ms = rtt.p999();
     report.rtt_max_ms = rtt.max();
+    report.send_lateness_p99_ms = tally.lateness_p99.value();
+    report.send_lateness_max_ms = tally.lateness_max_ms;
     return report;
   };
 
@@ -218,6 +224,19 @@ LoadGenReport run_loadgen(const std::vector<Arrival>& plan,
     req.input_scale = a.input_scale;
     req.tag = tag;
     req.client_send_ns = monotonic_ns();
+    if (!opts.closed_loop) {
+      // Open loop: time the request from its planned send instant, so a
+      // generator that falls behind shows its lag in the RTT instead of
+      // hiding it (coordinated omission).
+      const std::uint64_t planned = to_ns(send_time(tag));
+      const double late_ms =
+          req.client_send_ns > planned
+              ? static_cast<double>(req.client_send_ns - planned) / 1e6
+              : 0.0;
+      tally.lateness_p99.add(late_ms);
+      tally.lateness_max_ms = std::max(tally.lateness_max_ms, late_ms);
+      req.client_send_ns = planned;
+    }
     std::uint8_t frame[wire::kMaxFrame];
     const std::size_t len = wire::encode_request(req, frame);
     if (!conn.queue(frame, len) || !conn.flush()) return false;

@@ -60,7 +60,9 @@ struct LoadGenReport {
   double achieved_rps = 0.0;  ///< received / wall_seconds.
 
   /// Client-observed round trip (send -> response parsed), wall ms, over
-  /// the post-warmup samples (see LoadGenOptions::warmup_requests).
+  /// the post-warmup samples (see LoadGenOptions::warmup_requests). In open
+  /// loop a request's round trip starts at its planned send instant, so
+  /// the generator's own lateness counts against it.
   double rtt_p50_ms = 0.0;
   double rtt_p95_ms = 0.0;
   double rtt_p99_ms = 0.0;
@@ -68,6 +70,11 @@ struct LoadGenReport {
   double rtt_max_ms = 0.0;
   /// Post-warmup sample count the percentiles above are computed from.
   std::uint64_t rtt_samples = 0;
+
+  /// Open loop: how late requests left after their planned send instants,
+  /// wall ms, over every request sent. 0 in closed loop.
+  double send_lateness_p99_ms = 0.0;
+  double send_lateness_max_ms = 0.0;
 };
 
 /// Fires `plan` at host:port per `opts` and blocks until done (all

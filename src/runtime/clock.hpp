@@ -23,10 +23,10 @@ namespace fifer {
 ///
 /// Thread-safety: deliberately lock-free and unannotated. The anchor is
 /// configuration written exactly once by `LiveRuntime::run` before any
-/// worker thread is released (held-back workers start after `start()`), and
-/// every later access is a read — the one shape of shared state the
-/// annotation contract of common/sync.hpp exempts. TSan verifies the
-/// publish ordering in CI.
+/// other thread reads the clock (the serving front-end's I/O thread starts
+/// after `start()`), and every later access is a read — the one shape of
+/// shared state the annotation contract of common/sync.hpp exempts. TSan
+/// verifies the publish ordering in CI.
 class LiveClock {
  public:
   using WallClock = std::chrono::steady_clock;

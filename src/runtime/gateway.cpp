@@ -7,7 +7,7 @@ namespace fifer {
 
 std::vector<Arrival> materialize_arrival_plan(const ExperimentParams& params) {
   Rng rng(params.seed);
-  return draw_arrival_plan(params, rng);
+  return draw_arrival_plan(params, split_arrival_stream(rng));
 }
 
 }  // namespace fifer

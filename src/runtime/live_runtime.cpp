@@ -1,7 +1,11 @@
 #include "runtime/live_runtime.hpp"
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 #include <algorithm>
-#include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "common/check.hpp"
@@ -16,18 +20,53 @@ const LockClass& runtime_state_lock_class() {
   return cls;
 }
 
-LiveClock::WallTime wall_after(double seconds) {
-  return LiveClock::WallClock::now() +
-         std::chrono::nanoseconds(static_cast<std::int64_t>(seconds * 1e9));
-}
+/// Sets the calling thread's timer slack to 1 ns while in scope, then puts
+/// the previous value back. The kernel's default slack (50 µs) lets every
+/// timed wait of the event loop end up to that much late, which is 50
+/// simulated ms per wake at 1000x compression.
+class ScopedTimerSlack {
+ public:
+  ScopedTimerSlack() {
+#ifdef __linux__
+    const int old = ::prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+    if (old > 0 && ::prctl(PR_SET_TIMERSLACK, 1UL, 0, 0, 0) == 0) restore_ = old;
+#endif
+  }
+  ~ScopedTimerSlack() {
+#ifdef __linux__
+    if (restore_ > 0) {
+      ::prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(restore_), 0, 0, 0);
+    }
+#endif
+  }
+  ScopedTimerSlack(const ScopedTimerSlack&) = delete;
+  ScopedTimerSlack& operator=(const ScopedTimerSlack&) = delete;
+
+ private:
+  int restore_ = 0;
+};
 
 }  // namespace
+
+void LiveRuntime::LagTracker::add(double lag_ms) {
+  p50_.add(lag_ms);
+  p99_.add(lag_ms);
+  max_ = std::max(max_, lag_ms);
+}
+
+LagSummary LiveRuntime::LagTracker::summary() const {
+  LagSummary s;
+  s.p50_ms = p50_.value();
+  s.p99_ms = p99_.value();
+  s.max_ms = max_;
+  s.samples = p50_.count();
+  return s;
+}
 
 LiveRuntime::LiveRuntime(ExperimentParams params, LiveOptions opts)
     : mu_(&runtime_state_lock_class()),
       opts_(opts),
       clock_(opts.time_scale),
-      timers_(clock_),
       path_(std::move(params), *this) {
   // The wire protocol's app numbering: registry insertion order. An app is
   // servable only if every stage of its chain has a provisioned pool (the
@@ -43,22 +82,16 @@ LiveRuntime::LiveRuntime(ExperimentParams params, LiveOptions opts)
   }
 }
 
-LiveRuntime::~LiveRuntime() {
-  // Normally a no-op (run() joined everything); the backstop keeps a
-  // throwing run from destroying state under live worker threads.
-  workers_.stop_and_join_all();
-}
-
 LiveRunReport LiveRuntime::run() {
   FIFER_CHECK(!ran_, kCore) << "LiveRuntime::run is single-shot";
   ran_ = true;
   ExternalArrivalSource* src = opts_.external_source;
 
-  // Offline steps, single-threaded, clock still reading 0: the B_size log,
-  // predictor pre-training and static pools. Workers spawned here are held
-  // back so their cold-start sleeps begin at the anchor. Then the arrival
-  // plan, drawn at the same point of the seed stream as in the simulator, so
-  // a sim/live pair with one seed replays the identical request sequence.
+  // Offline steps, clock still reading 0: the B_size log, predictor
+  // pre-training and static pools. The ready events of containers spawned
+  // here are due at their cold-start times on the simulated axis, so they
+  // fire that long after the anchor below. Then the arrival plan, the same
+  // one the simulator draws from this seed.
   SimTime trace_end = 0.0;
   {
     MutexLock lock(&mu_);
@@ -68,63 +101,49 @@ LiveRunReport LiveRuntime::run() {
       trace_end = std::max(path_.params().trace.duration_ms(),
                            arrivals_.empty() ? 0.0 : arrivals_.back().time);
     } else {
-      path_.skip_arrival_plan();
       accepting_external_ = true;
     }
     arrivals_done_ = arrivals_.empty();
   }
 
-  // Anchor simulated t = 0, release the held-back workers, then register
-  // the timers in the simulator's order: arrival pump, the scaler's ticks,
-  // housekeeping.
+  // Anchor simulated t = 0, then register the events in the simulator's
+  // order: arrival pump, the scaler's ticks, housekeeping.
   clock_.start();
   {
     MutexLock lock(&mu_);
     begin_step();
-    FIFER_CHECK(clock_.started(), kCore)
-        << "workers must start after the clock anchor";
-    for (LiveContainer* w : pending_start_) w->start();
-    pending_start_.clear();
     if (!arrivals_.empty()) {
-      timers_.at(arrivals_.front().time, [this](SimTime) { pump(0); });
+      schedule(arrivals_.front().time, [this] { pump(0); });
     }
     path_.install();
   }
 
-  // Bounded shutdown: the hard wall deadline caps the run even if the
-  // workload wedges. A replay derives it from the trace plus the drain
-  // grace on the scaled clock, with a fixed margin for thread scheduling
-  // noise; a serving run has no trace length, so it defaults to a minute.
-  LiveClock::WallTime hard_deadline;
+  // Bounded shutdown: the hard deadline caps the run even if the workload
+  // wedges. A replay derives it from the trace plus the drain grace, with a
+  // fixed 2 wall-second margin for scheduling noise; a serving run has no
+  // trace length, so it defaults to a minute of wall time.
+  const double ms_per_wall_s = 1000.0 * clock_.scale();
+  SimTime hard_end = trace_end + opts_.drain_grace_ms + 2.0 * ms_per_wall_s;
   if (opts_.max_wall_seconds > 0.0) {
-    hard_deadline = wall_after(opts_.max_wall_seconds);
+    hard_end = opts_.max_wall_seconds * ms_per_wall_s;
   } else if (src != nullptr) {
-    hard_deadline = wall_after(60.0);
-  } else {
-    hard_deadline = clock_.wall_deadline(trace_end + opts_.drain_grace_ms) +
-                    std::chrono::seconds(2);
+    hard_end = 60.0 * ms_per_wall_s;
   }
 
   // Open the front door: from here the source's I/O thread submits through
-  // the gate concurrently with the timer loop below.
+  // the gate concurrently with the event loop.
   if (src != nullptr) src->start(*this, clock_);
 
-  // Drain condition: no more arrivals coming (the trace replayed to its end,
-  // zero-rate tails included — that is where scale-down shows; or the source
-  // finished), and every submitted request completed. Checked between timer
-  // callbacks and on completion wakeups; retired worker threads are joined
-  // here, off the state lock.
-  const auto done = [this, src, trace_end] {
-    workers_.join_retired();
-    if (src != nullptr && !src->finished()) return false;
-    MutexLock lock(&mu_);
-    return arrivals_done_ && clock_.now_ms() >= trace_end &&
-           path_.in_flight() == 0;
-  };
-  const std::uint64_t fired = timers_.run(done, hard_deadline);
+  std::uint64_t fired = 0;
+  {
+    const ScopedTimerSlack slack;
+    fired = drive(trace_end, hard_end);
+  }
 
   // Close the gate before teardown: submissions racing the shutdown are
-  // rejected as draining instead of landing in a dying runtime.
+  // rejected as draining instead of landing in a dying runtime. Events
+  // still queued (ready or finish events of a cut-short run) die with the
+  // queue; they own nothing.
   if (src != nullptr) {
     {
       MutexLock lock(&mu_);
@@ -132,9 +151,6 @@ LiveRunReport LiveRuntime::run() {
     }
     src->stop();
   }
-  // Stop and join every worker with no lock held: a worker may be blocked
-  // on the state lock in a callback, which must complete first.
-  workers_.stop_and_join_all();
 
   const bool source_done = src == nullptr || src->finished();
   MutexLock lock(&mu_);
@@ -146,74 +162,102 @@ LiveRunReport LiveRuntime::run() {
   report.wall_seconds = (end / clock_.scale()) / 1000.0;
   report.time_scale = clock_.scale();
   report.timer_events = fired;
-  report.peak_worker_threads = workers_.peak_workers();
+  report.timer_lag = timer_lag_.summary();
+  report.admission_lag = admission_lag_.summary();
   return report;
 }
 
-void LiveRuntime::pump(std::size_t i) {
-  {
+std::uint64_t LiveRuntime::drive(SimTime trace_end_ms, SimTime hard_end_ms) {
+  ExternalArrivalSource* src = opts_.external_source;
+  std::uint64_t fired = 0;
+  while (true) {
+    // The source's drain predicate is polled off the state lock (its
+    // contract); a source that finishes calls wake(), which the check of
+    // woken_ below cannot miss.
+    const bool source_done = src == nullptr || src->finished();
     MutexLock lock(&mu_);
-    begin_step();
-    path_.submit_job(arrivals_[i]);
-    if (i + 1 >= arrivals_.size()) arrivals_done_ = true;
+    const SimTime now = clock_.now_ms();
+    if (now >= hard_end_ms) break;
+    // Drained: no more arrivals coming (the trace replayed to its end,
+    // zero-rate tails included — that is where scale-down shows; or the
+    // source finished), and every submitted request completed.
+    if (source_done && arrivals_done_ && now >= trace_end_ms &&
+        path_.in_flight() == 0) {
+      break;
+    }
+
+    // One step per due event, with the clock reading that found it due.
+    if (events_.next_time() <= now) {
+      EventQueue::Fired due = events_.pop();
+      now_ = now;
+      timer_lag_.add(now - due.time);
+      due.callback();
+      ++fired;
+      continue;
+    }
+
+    if (woken_) {
+      woken_ = false;
+      continue;
+    }
+    // Nothing due: sleep until the next event, the trace end (where the
+    // drain condition can start to hold) or the hard deadline. schedule()
+    // and wake_loop() cut the sleep short.
+    SimTime until = std::min(events_.next_time(), hard_end_ms);
+    if (now < trace_end_ms) until = std::min(until, trace_end_ms);
+    loop_waiting_ = true;
+    loop_wakes_at_ = until;
+    cv_.wait_until(lock, clock_.wall_deadline(until));
+    loop_waiting_ = false;
   }
-  if (i + 1 < arrivals_.size()) {
-    timers_.at(arrivals_[i + 1].time, [this, i](SimTime) { pump(i + 1); });
+  return fired;
+}
+
+void LiveRuntime::schedule(SimTime when, EventQueue::Callback cb) {
+  events_.schedule(when, std::move(cb));
+  if (loop_waiting_ && when < loop_wakes_at_) {
+    loop_wakes_at_ = when;
+    cv_.notify_one();
   }
 }
 
-const LiveRuntime::ContainerRef& LiveRuntime::container_ref(ContainerId id) const {
-  const auto it = container_refs_.find(value_of(id));
-  FIFER_CHECK(it != container_refs_.end(), kCore)
-      << "callback from unknown container " << value_of(id);
-  return it->second;
+void LiveRuntime::wake_loop() {
+  woken_ = true;
+  if (loop_waiting_) cv_.notify_one();
+}
+
+void LiveRuntime::pump(std::size_t i) {
+  admission_lag_.add(now_ - arrivals_[i].time);
+  path_.submit_job(arrivals_[i]);
+  if (i + 1 < arrivals_.size()) {
+    schedule(arrivals_[i + 1].time, [this, i] { pump(i + 1); });
+  } else {
+    arrivals_done_ = true;
+  }
 }
 
 // ------------------------------------------------------------------- Pacer
 
 void LiveRuntime::after(SimDuration delay, Callback cb) {
-  timers_.at(now_ + delay, [this, cb = std::move(cb)](SimTime) mutable {
-    MutexLock lock(&mu_);
-    begin_step();
-    cb();
-  });
+  schedule(now_ + std::max(0.0, delay), std::move(cb));
 }
 
 void LiveRuntime::every(SimDuration period_ms, std::function<void(SimTime)> cb) {
-  timers_.every(period_ms, [this, cb = std::move(cb)](SimTime) {
-    MutexLock lock(&mu_);
-    begin_step();
-    cb(now_);
-  });
+  Periodic& p = periodic_.emplace_back(
+      Periodic{std::max(period_ms, 1e-9), std::move(cb)});
+  const SimTime first = now_ + p.period;
+  schedule(first, [this, pp = &p, first] { tick(*pp, first); });
 }
 
-void LiveRuntime::on_dispatch(StageState&, Container& c, TaskRef task) {
-  // The worker's queue bound equals the batch, so the passive slot
-  // accounting makes overflow impossible — hence the hard check.
-  LiveContainer* worker = workers_.worker(c.id());
-  FIFER_CHECK(worker != nullptr, kCore)
-      << "dispatch to retired container " << value_of(c.id());
-  FIFER_CHECK(worker->submit(task), kCore)
-      << "live batch queue overflow on container " << value_of(c.id());
-}
-
-void LiveRuntime::on_spawn(StageState& st, Container& c, SimDuration cold_ms) {
-  container_refs_.emplace(value_of(c.id()), ContainerRef{&st, c.handle()});
-  LiveContainer& worker =
-      workers_.adopt(c.id(), st.name(), clock_, c.spawned_at(), cold_ms,
-                     static_cast<std::size_t>(c.batch_size()), this);
-  if (clock_.started()) {
-    worker.start();
-  } else {
-    pending_start_.push_back(&worker);
-  }
-}
-
-void LiveRuntime::on_terminate(Container& c) {
-  container_refs_.erase(value_of(c.id()));
-  // Stops the worker (it is idle or still provisioning — policies only
-  // terminate containers without resident work); joined off the state lock.
-  workers_.retire(c.id());
+void LiveRuntime::tick(Periodic& p, SimTime due) {
+  p.cb(now_);
+  // When the loop fell a period or more behind, the missed occurrences are
+  // skipped, not replayed in a burst: the next one is the first on the
+  // period grid past now. A live monitoring tick wants "at this cadence",
+  // not "this many times".
+  SimTime next = due + p.period;
+  if (next <= now_) next += (std::floor((now_ - next) / p.period) + 1.0) * p.period;
+  schedule(next, [this, pp = &p, next] { tick(*pp, next); });
 }
 
 void LiveRuntime::on_job_completed(const Job& job) {
@@ -245,44 +289,8 @@ void LiveRuntime::on_job_completed(const Job& job) {
     opts_.external_source->on_completion(done);
   }
 
-  // Wake the run loop so the drain check sees the completion promptly.
-  timers_.notify();
-}
-
-// --------------------------------------------- worker callbacks (data plane)
-
-void LiveRuntime::on_container_ready(ContainerId id) {
-  MutexLock lock(&mu_);
-  begin_step();
-  const ContainerRef& ref = container_ref(id);
-  // Tasks dispatched during provisioning already sit in the worker's queue;
-  // it drains them by itself.
-  path_.container_ready(*ref.stage, ref.handle);
-}
-
-SimDuration LiveRuntime::on_task_begin(ContainerId id, TaskRef task) {
-  MutexLock lock(&mu_);
-  begin_step();
-  const ContainerRef& ref = container_ref(id);
-  Container* c = ref.stage->get(ref.handle);
-  FIFER_CHECK(c != nullptr, kCore)
-      << "task begin on reaped container " << value_of(id);
-  // The passive queue moves in lockstep with the worker's own.
-  const TaskRef begun = path_.begin_task(*ref.stage, *c);
-  FIFER_CHECK(begun.job == task.job && begun.stage_index == task.stage_index,
-              kCore)
-      << "live/passive queue divergence on container " << value_of(id);
-  return begun.record().exec_ms;
-}
-
-void LiveRuntime::on_task_finish(ContainerId id, TaskRef task) {
-  MutexLock lock(&mu_);
-  begin_step();
-  const ContainerRef& ref = container_ref(id);
-  Container* c = ref.stage->get(ref.handle);
-  FIFER_CHECK(c != nullptr, kCore)
-      << "task finish on reaped container " << value_of(id);
-  path_.finish_task(*ref.stage, *c, task);
+  // The last completion may satisfy the drain condition.
+  if (path_.in_flight() == 0) wake_loop();
 }
 
 // ------------------------------------------------- external gate (serving)
@@ -306,7 +314,10 @@ ExternalGate::Admit LiveRuntime::submit(const ExternalRequest& req) {
   return Admit::kAccepted;
 }
 
-void LiveRuntime::wake() { timers_.notify(); }
+void LiveRuntime::wake() {
+  MutexLock lock(&mu_);
+  wake_loop();
+}
 
 LiveRunReport run_live(ExperimentParams params, LiveOptions opts) {
   LiveRuntime rt(std::move(params), opts);

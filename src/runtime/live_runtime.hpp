@@ -1,20 +1,19 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/slab.hpp"
+#include "common/stats.hpp"
 #include "common/sync.hpp"
 #include "core/experiment_params.hpp"
 #include "core/metrics.hpp"
 #include "core/request_path.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/external_source.hpp"
-#include "runtime/live_cluster.hpp"
-#include "runtime/live_container.hpp"
-#include "runtime/timer_queue.hpp"
+#include "sim/event_queue.hpp"
 #include "workload/arrival.hpp"
 
 namespace fifer {
@@ -45,6 +44,14 @@ struct LiveOptions {
   ExternalArrivalSource* external_source = nullptr;
 };
 
+/// A lag distribution in simulated ms, summarized in constant memory.
+struct LagSummary {
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+  double max_ms = 0.0;
+  std::uint64_t samples = 0;
+};
+
 /// What a live run produced: the same ExperimentResult the simulator emits,
 /// plus live-execution facts the fidelity harness and CI budget checks read.
 struct LiveRunReport {
@@ -57,44 +64,50 @@ struct LiveRunReport {
   /// Wall seconds the driving loop spent between clock anchor and shutdown.
   double wall_seconds = 0.0;
   double time_scale = 1.0;
-  /// Timer callbacks fired (arrivals, bus deliveries, ticks, housekeeping).
+  /// Events fired (arrivals, bus deliveries, container ready and finish
+  /// events, policy ticks, housekeeping).
   std::uint64_t timer_events = 0;
-  /// High-water mark of concurrently live container worker threads.
+  /// Pacing threads beyond the event loop. Containers are events, so this
+  /// reads 0; kept because benchmark reports carry it.
   std::size_t peak_worker_threads = 0;
+  /// How late events fired: fire time minus scheduled time.
+  LagSummary timer_lag;
+  /// Replays only: how late requests were admitted, admission time minus
+  /// planned arrival time. Empty for a served run.
+  LagSummary admission_lag;
 };
 
 /// The live-mode executor: the simulator's request path (RequestPath — the
-/// same stages, metrics, spans and PolicyEngine strategies byte-for-byte),
-/// paced by real threads in real (compressed) wall-clock time instead of a
-/// discrete event queue. Events (arrivals, bus deliveries, policy ticks) ride
-/// a wall-clock timer queue (WallTimerQueue); containers are worker threads
-/// that sleep out cold starts and service times (LiveContainer, owned by
-/// LiveCluster). The run replays the trace plan in scaled real time, or —
-/// with LiveOptions::external_source — serves requests submitted through
-/// the ExternalGate, then drains, or stops at the wall budget.
+/// same stages, metrics, spans and PolicyEngine strategies byte-for-byte)
+/// on the simulator's own EventQueue, with each event fired when a
+/// time-compressed wall clock reaches it instead of at once. Every step the
+/// simulator takes — an arrival, a bus delivery, a container's ready or
+/// finish event, a policy tick — is an event here too; containers own no
+/// thread. The run replays the trace plan in scaled real time, or — with
+/// LiveOptions::external_source — serves requests submitted through the
+/// ExternalGate, then drains, or stops at the wall budget.
 ///
-/// Concurrency model — one writer domain, many pacers:
-///  - The whole request path is one member guarded by a single state mutex
+/// Concurrency model — one loop thread, one lock:
+///  - The request path and the event queue are guarded by one state mutex
 ///    `mu_`; policies never see concurrency, exactly as on the simulator's
-///    event loop. Every timer callback, worker callback and gate submission
-///    is one *step*: it takes `mu_`, reads the clock once, and runs the same
-///    bookkeeping the simulator runs at its event boundaries. Worker threads
-///    only pace: they sleep off every lock.
-///  - Lock order: `mu_` -> worker queue lock (via submit/retire) and
-///    `mu_` -> timer lock (via at/every/notify). Worker callbacks take `mu_`
-///    with no worker lock held. Thread joins happen with no locks held
-///    (LiveCluster's retirement list). The order is machine-enforced: `mu_`
-///    is ranked `lock_rank::kRuntimeState`, every lock below it
-///    `kRuntimeLeaf`, and debug builds trap any inverted acquisition through
-///    the lock-order registry (common/sync.hpp).
+///    event loop. Every event and every gate submission is one *step*: it
+///    takes `mu_`, reads the clock once, and runs the same bookkeeping the
+///    simulator runs at its event boundaries.
+///  - run() fires due events on the calling thread and sleeps on `cv_`
+///    until the next one is due. It is woken only when a step on another
+///    thread (a gate submission) schedules a new earliest event, or when
+///    the drain condition may have changed (wake(), a last completion).
+///  - Lock order: `mu_` is ranked `lock_rank::kRuntimeState`; the one lock
+///    taken under it is the serving front-end's respond channel (a
+///    `kRuntimeLeaf`), and debug builds trap any inverted acquisition
+///    through the lock-order registry (common/sync.hpp).
 ///
 /// One instance runs one experiment, like the framework:
 ///
 ///   LiveRunReport r = LiveRuntime(params, {.time_scale = 100}).run();
-class LiveRuntime : public Pacer, public LiveContainerHost, public ExternalGate {
+class LiveRuntime : public Pacer, public ExternalGate {
  public:
   LiveRuntime(ExperimentParams params, LiveOptions opts);
-  ~LiveRuntime() override;
 
   /// Runs the experiment and returns the collected metrics. Single-shot.
   /// Returns within the wall budget (see LiveOptions).
@@ -103,64 +116,72 @@ class LiveRuntime : public Pacer, public LiveContainerHost, public ExternalGate 
   // --- Pacer (called by the request path, inside a step) ---
   SimTime now() const override FIFER_REQUIRES(mu_) { return now_; }
   void after(SimDuration delay, Callback cb) override FIFER_REQUIRES(mu_);
-  void every(SimDuration period_ms, std::function<void(SimTime)> cb) override;
-  void on_dispatch(StageState& st, Container& c, TaskRef task) override
+  void every(SimDuration period_ms, std::function<void(SimTime)> cb) override
       FIFER_REQUIRES(mu_);
-  void on_container_idle(StageState&, Container&) override {}
-  void on_spawn(StageState& st, Container& c, SimDuration cold_ms) override
-      FIFER_REQUIRES(mu_);
-  void on_terminate(Container& c) override FIFER_REQUIRES(mu_);
   void on_job_completed(const Job& job) override FIFER_REQUIRES(mu_);
-
-  // --- LiveContainerHost hooks (called from worker threads; take mu_) ---
-  void on_container_ready(ContainerId id) override FIFER_EXCLUDES(mu_);
-  SimDuration on_task_begin(ContainerId id, TaskRef task) override
-      FIFER_EXCLUDES(mu_);
-  void on_task_finish(ContainerId id, TaskRef task) override
-      FIFER_EXCLUDES(mu_);
 
   // --- ExternalGate (called from the front-end's I/O thread; takes mu_) ---
   Admit submit(const ExternalRequest& req) override FIFER_EXCLUDES(mu_);
-  void wake() override;
+  void wake() override FIFER_EXCLUDES(mu_);
 
  private:
-  /// Where a passive container lives: its stage plus the slab handle that
-  /// resolves it in O(1) from worker callbacks.
-  struct ContainerRef {
-    StageState* stage;
-    SlabHandle<Container> handle;
+  /// A periodic step registered through every(); stored in a deque so the
+  /// events that re-arm it can hold its address.
+  struct Periodic {
+    SimDuration period;
+    std::function<void(SimTime)> cb;
+  };
+
+  /// A lag distribution kept in constant memory.
+  class LagTracker {
+   public:
+    void add(double lag_ms);
+    LagSummary summary() const;
+
+   private:
+    P2Quantile p50_{0.50};
+    P2Quantile p99_{0.99};
+    double max_ = 0.0;
   };
 
   /// Opens a step: reads the clock once for everything the step stamps.
   void begin_step() FIFER_REQUIRES(mu_) { now_ = clock_.now_ms(); }
-  const ContainerRef& container_ref(ContainerId id) const FIFER_REQUIRES(mu_);
-  /// Submits arrival `i` and schedules arrival `i + 1`. Self-scheduling, so
-  /// the timer queue holds at most one pending arrival at a time — the live
-  /// analogue of the simulator's lazy arrival pump.
-  void pump(std::size_t i) FIFER_EXCLUDES(mu_);
+  /// Queues `cb` at simulated time `when`, waking the loop if it now sleeps
+  /// past the new earliest event.
+  void schedule(SimTime when, EventQueue::Callback cb) FIFER_REQUIRES(mu_);
+  /// Runs periodic `p`'s occurrence due at `due`, then re-arms it.
+  void tick(Periodic& p, SimTime due) FIFER_REQUIRES(mu_);
+  /// Submits arrival `i` and schedules arrival `i + 1`, so the queue holds
+  /// at most one pending arrival — the simulator's lazy arrival pump.
+  void pump(std::size_t i) FIFER_REQUIRES(mu_);
+  /// Tells a sleeping loop to re-evaluate its drain condition.
+  void wake_loop() FIFER_REQUIRES(mu_);
+  /// Fires events until the run drains or the clock reaches `hard_end_ms`;
+  /// returns the number fired.
+  std::uint64_t drive(SimTime trace_end_ms, SimTime hard_end_ms)
+      FIFER_EXCLUDES(mu_);
 
-  /// The single state lock (see the class comment for the lock order).
-  /// Declared first so guarded members below can name it in annotations.
+  /// The single state lock. Declared first so guarded members below can
+  /// name it in annotations.
   mutable Mutex mu_;
+  CondVar cv_;
 
-  // Immutable after construction, or internally synchronized.
+  // Immutable after construction.
   const LiveOptions opts_;
   LiveClock clock_;
-  WallTimerQueue timers_;
-  /// Worker threads. Adopt/lookup/retire run inside steps (under mu_);
-  /// joins run with mu_ released, which is why the field itself cannot carry
-  /// a GUARDED_BY.
-  LiveCluster workers_;
 
   RequestPath path_ FIFER_GUARDED_BY(mu_);
+  EventQueue events_ FIFER_GUARDED_BY(mu_);
+  std::deque<Periodic> periodic_ FIFER_GUARDED_BY(mu_);
   /// The current step's clock reading.
   SimTime now_ FIFER_GUARDED_BY(mu_) = 0.0;
-  /// Passive container id -> {stage, slab handle}, for worker callbacks.
-  std::unordered_map<std::uint64_t, ContainerRef> container_refs_
-      FIFER_GUARDED_BY(mu_);
-  /// Workers created before the clock anchor (static pools, pre-training),
-  /// started by run() once their cold-start sleeps can be measured from it.
-  std::vector<LiveContainer*> pending_start_ FIFER_GUARDED_BY(mu_);
+  /// While run() waits on cv_: true, with the simulated time it waits for.
+  bool loop_waiting_ FIFER_GUARDED_BY(mu_) = false;
+  SimTime loop_wakes_at_ FIFER_GUARDED_BY(mu_) = 0.0;
+  /// Set by wake_loop(); run() re-checks its drain condition before waiting.
+  bool woken_ FIFER_GUARDED_BY(mu_) = false;
+  LagTracker timer_lag_ FIFER_GUARDED_BY(mu_);
+  LagTracker admission_lag_ FIFER_GUARDED_BY(mu_);
   /// The replayed arrival plan; written by run() before any concurrency,
   /// read-only afterwards.
   std::vector<Arrival> arrivals_;

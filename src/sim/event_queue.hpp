@@ -30,9 +30,9 @@ enum class EventId : std::uint64_t {};
 /// probes it with a counting allocator).
 class EventQueue {
  public:
-  /// 64 bytes covers the framework's largest capture (finish_task: this +
-  /// stage + container + TaskRef = 40 bytes) with headroom; oversized
-  /// captures fail to compile instead of silently allocating.
+  /// 64 bytes covers the request path's largest capture (the finish event:
+  /// this + stage + container handle + TaskRef = 40 bytes) with headroom;
+  /// oversized captures fail to compile instead of silently allocating.
   using Callback = InlineFunction<void(), 64>;
 
   /// Schedules `cb` to fire at absolute simulated time `at`.

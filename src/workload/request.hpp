@@ -48,7 +48,14 @@ struct StageRecord {
 struct Job {
   JobId id{0};
   const ApplicationChain* app = nullptr;  ///< Non-owning; outlives the job.
+  /// Admission time: the request entered the system. SLO deadlines and
+  /// response times count from here.
   SimTime arrival = 0.0;
+  /// Planned arrival time: the instant the arrival plan (or, for a served
+  /// request, its admission) put it at. Equal to `arrival` in the simulator;
+  /// a live replay admits it `arrival - planned` late. Warm-up membership
+  /// counts from here, so every engine measures the same request set.
+  SimTime planned = 0.0;
   SimTime completion = -1.0;  ///< Negative until the last stage finishes.
   double input_scale = 1.0;   ///< Input-size multiplier for exec times.
   std::vector<StageRecord> records;  ///< One per stage, in chain order.

@@ -177,10 +177,12 @@ StageProfile test_profile(int batch = 4) {
   return p;
 }
 
+/// A job as the simulator admits it: on time, so planned == arrival.
 Job make_job(const ApplicationChain& app, SimTime arrival) {
   Job j;
   j.app = &app;
   j.arrival = arrival;
+  j.planned = arrival;
   j.records.resize(app.stages.size());
   return j;
 }
@@ -306,6 +308,28 @@ TEST(Metrics, WarmupExcludesEarlyJobs) {
   EXPECT_EQ(r.jobs_completed, 1u);
   EXPECT_EQ(r.slo_violations, 1u);
   EXPECT_DOUBLE_EQ(r.slo_violation_pct(), 100.0);
+}
+
+// Warm-up membership follows the planned arrival, so a request planned
+// inside the warm-up but admitted late, after it, is left out like its
+// on-time twin; its SLO still counts from admission.
+TEST(Metrics, WarmupCountsFromThePlannedArrival) {
+  MetricsCollector mc(seconds(10.0));
+  Job late_admitted = make_job(apps().at("IPA"), seconds(10.5));
+  late_admitted.planned = seconds(9.9);
+  Job planned_after = make_job(apps().at("IPA"), seconds(10.2));
+  planned_after.planned = seconds(10.1);
+  late_admitted.completion = seconds(11.0);
+  planned_after.completion = seconds(10.9);  // 700 ms from admission
+  for (const Job* j : {&late_admitted, &planned_after}) {
+    mc.on_job_submitted(*j);
+    mc.on_job_completed(*j);
+  }
+  const auto r = mc.finish(seconds(20.0), 0.0);
+  EXPECT_EQ(r.jobs_submitted, 1u);
+  EXPECT_EQ(r.jobs_completed, 1u);
+  EXPECT_EQ(r.slo_violations, 0u);
+  EXPECT_NEAR(r.response_ms.median(), 700.0, 1e-9);
 }
 
 TEST(Metrics, StageAggregatesAndRpc) {

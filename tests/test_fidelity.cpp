@@ -193,8 +193,10 @@ const char* const kGoldenPresets[6] = {"bline",  "sbatch", "rscale",
                                        "bpred",  "fifer",  "hpa"};
 
 /// Digests of canonical_result() for the six presets, recorded pre-refactor.
+/// SBatch's was re-recorded when the arrival stream moved ahead of the
+/// static pools' cold-start draws (so its runs replay the materialized plan).
 const std::uint64_t kGoldenDigests[6] = {
-    0xd7767044237cce50ull, 0xc2bbb454c44827abull, 0xc659247d30c4e240ull,
+    0xd7767044237cce50ull, 0xb0c17007a76cf101ull, 0xc659247d30c4e240ull,
     0x68fc011b5b6295beull, 0x7a93e28a87f70989ull, 0xf723a9d633b58c13ull,
 };
 

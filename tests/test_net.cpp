@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -208,6 +212,38 @@ TEST(Server, EchoesRequestsFromLoadGenerator) {
   EXPECT_EQ(stats.protocol_errors, 0u);
 }
 
+// Open loop times a request from its planned send instant, not from when it
+// actually left: a generator that starts behind its plan shows the lag in
+// the RTT (no coordinated omission) and reports it as send lateness.
+TEST(LoadGen, OpenLoopRttCountsFromThePlannedSendTime) {
+  EchoHandler handler;
+  ServerOptions so;
+  Server server(so, &handler);
+  handler.attach(&server);
+  ASSERT_TRUE(server.listen());
+  server.start();
+
+  const ApplicationRegistry apps = ApplicationRegistry::paper_chains();
+  // Real time, and every send instant lies 2 s before the generator starts:
+  // each request is already 2 s late when it leaves.
+  std::vector<Arrival> plan = tiny_plan(8, apps.all().front().name);
+  for (Arrival& a : plan) a.time -= 2000.0;
+  LoadGenOptions lg;
+  lg.port = server.port();
+  lg.connections = 2;
+  lg.time_scale = 1.0;
+  lg.timeout_seconds = 30.0;
+  const LoadGenReport r = run_loadgen(plan, apps, lg);
+  server.shutdown();
+
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.ok, 8u);
+  EXPECT_GE(r.rtt_p50_ms, 1990.0);
+  EXPECT_GE(r.send_lateness_max_ms, 1990.0);
+  EXPECT_GE(r.send_lateness_p99_ms, 1990.0);
+  EXPECT_LE(r.send_lateness_max_ms, r.rtt_max_ms);
+}
+
 TEST(Server, RespondAfterShutdownIsRefused) {
   EchoHandler handler;
   Server server(ServerOptions{}, &handler);
@@ -308,6 +344,45 @@ TEST(ServeSession, LoopbackEndToEndMatchesThePlanAndDrains) {
 
   // Client- and server-side verdict streams agree.
   EXPECT_EQ(run.client.server_slo_violations, run.serve.slo_violations);
+}
+
+/// Threads of this process, or 0 where /proc is unavailable.
+std::size_t process_threads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return 0;
+  return static_cast<std::size_t>(
+      std::distance(it, std::filesystem::directory_iterator()));
+}
+
+// Containers are events on the runtime's loop, not threads: a served Bline
+// session that spawns over a hundred containers runs on a fixed set of threads
+// (this one as the client, the serving thread as the event loop, the epoll
+// thread, the sampler), however many containers it spawns.
+TEST(ServeSession, ThreadCountDoesNotGrowWithSpawns) {
+  if (process_threads() == 0) GTEST_SKIP() << "/proc/self/task is unavailable";
+  ExperimentParams params = serve_params(10.0, 40.0, /*seed=*/3);
+  params.rm = RmConfig::bline();
+  params.rm.idle_timeout_ms = minutes(1.0);
+
+  std::atomic<bool> sampling{true};
+  std::atomic<std::size_t> peak{0};
+  std::thread sampler([&] {
+    while (sampling.load(std::memory_order_acquire)) {
+      peak.store(std::max(peak.load(), process_threads()));
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    }
+  });
+  const LoopbackRun run = run_loopback(params, /*time_scale=*/100.0,
+                                       /*connections=*/2);
+  sampling.store(false, std::memory_order_release);
+  sampler.join();
+
+  ASSERT_FALSE(run.serve.listen_failed);
+  ASSERT_TRUE(run.serve.live.drained);
+  EXPECT_GE(run.serve.live.result.containers_spawned, 100u);
+  EXPECT_EQ(run.serve.live.peak_worker_threads, 0u);
+  EXPECT_LE(peak.load(), 8u);
 }
 
 TEST(ServeSession, ClosedLoopServesTheRequestedCount) {

@@ -1,20 +1,29 @@
-// Live-mode runtime tests: clock compression, wall-timer ordering, the
-// container worker lifecycle, bounded shutdown, and — the headline contract —
-// sim-vs-live fidelity on the same preset/trace/seed.
+// Live-mode runtime tests: clock compression, the event loop's pacing (the
+// container lifecycle as events, periodic steps, wakes and bounded
+// shutdown), and — the headline contract — sim-vs-live fidelity on the same
+// preset/trace/seed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <mutex>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/framework.hpp"
+#include "core/policy/scaler.hpp"
 #include "obs/recording_sink.hpp"
+#include "runtime/gateway.hpp"
 #include "runtime/live_runtime.hpp"
 #include "workload/generators.hpp"
 
@@ -68,197 +77,6 @@ TEST(LiveClock, DeadlinesAreScaleSpaced) {
             std::chrono::milliseconds(10));
 }
 
-// ------------------------------------------------------------- timer queue
-
-TEST(WallTimerQueue, FiresInDeadlineOrderWithStableTies) {
-  LiveClock clock(1000.0);  // 1 wall ms = 1 simulated second
-  WallTimerQueue timers(clock);
-  std::vector<int> order;
-  timers.at(50.0, [&](SimTime) { order.push_back(2); });
-  timers.at(10.0, [&](SimTime) { order.push_back(1); });
-  timers.at(50.0, [&](SimTime) { order.push_back(3); });  // tie: after 2
-  clock.start();
-  timers.run([&] { return order.size() == 3; },
-             LiveClock::WallClock::now() + std::chrono::seconds(20));
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(WallTimerQueue, PeriodicTicksKeepFiring) {
-  LiveClock clock(1000.0);
-  WallTimerQueue timers(clock);
-  int ticks = 0;
-  clock.start();
-  timers.every(seconds(1.0), [&](SimTime) { ++ticks; });
-  timers.run([&] { return ticks >= 3; },
-             LiveClock::WallClock::now() + std::chrono::seconds(20));
-  EXPECT_GE(ticks, 3);
-}
-
-TEST(WallTimerQueue, NotifyWakesTheDonePredicate) {
-  LiveClock clock(1.0);
-  WallTimerQueue timers(clock);
-  std::atomic<bool> flag{false};
-  clock.start();
-  // Only a far-future entry in the queue: without notify() the loop would
-  // sleep toward it; the external thread must be able to wake it early.
-  timers.at(minutes(10.0), [](SimTime) {});
-  std::thread poker([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    flag = true;
-    timers.notify();
-  });
-  const auto t0 = LiveClock::WallClock::now();
-  timers.run([&] { return flag.load(); },
-             LiveClock::WallClock::now() + std::chrono::seconds(30));
-  poker.join();
-  EXPECT_TRUE(flag.load());
-  EXPECT_LT(LiveClock::WallClock::now() - t0, std::chrono::seconds(25));
-}
-
-TEST(WallTimerQueue, PendingCountsQueuedTimers) {
-  LiveClock clock(1000.0);
-  WallTimerQueue timers(clock);
-  EXPECT_EQ(timers.pending(), 0u);
-  timers.at(minutes(10.0), [](SimTime) {});
-  timers.at(minutes(20.0), [](SimTime) {});
-  timers.every(minutes(1.0), [](SimTime) {});
-  EXPECT_EQ(timers.pending(), 3u);
-
-  // One-shots are consumed when fired; periodic entries re-arm themselves.
-  LiveClock fast(1000.0);
-  WallTimerQueue firing(fast);
-  int fired = 0;
-  firing.at(10.0, [&](SimTime) { ++fired; });
-  firing.every(seconds(1.0), [&](SimTime) {});
-  fast.start();
-  firing.run([&] { return fired >= 1; },
-             LiveClock::WallClock::now() + std::chrono::seconds(20));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(firing.pending(), 1u);  // only the periodic survives
-}
-
-TEST(WallTimerQueue, NotifyRacesHardDeadlineExpiry) {
-  // Hammer notify() from another thread while run() expires on its hard
-  // wall deadline: the loop must exit exactly once, with no hang and no
-  // missed wakeup, whichever side wins the race.
-  LiveClock clock(1.0);
-  WallTimerQueue timers(clock);
-  clock.start();
-  timers.at(minutes(10.0), [](SimTime) {});
-
-  std::atomic<bool> done{false};
-  std::thread hammer([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      timers.notify();
-    }
-  });
-
-  const auto t0 = LiveClock::WallClock::now();
-  // done-predicate never true: only the hard deadline can end the run.
-  timers.run([] { return false; }, t0 + std::chrono::milliseconds(50));
-  const auto wall = LiveClock::WallClock::now() - t0;
-  done.store(true, std::memory_order_release);
-  hammer.join();
-
-  EXPECT_GE(wall, std::chrono::milliseconds(45));
-  EXPECT_LT(wall, std::chrono::seconds(20));  // generous CI margin
-  EXPECT_EQ(timers.pending(), 1u);  // the far-future entry never fired
-}
-
-// -------------------------------------------------------- container worker
-
-/// Records the host callbacks a worker makes, in order, and lets the test
-/// thread wait for a prefix to appear.
-class MockHost : public LiveContainerHost {
- public:
-  explicit MockHost(SimDuration exec_ms = 1.0) : exec_ms_(exec_ms) {}
-
-  void on_container_ready(ContainerId) override { push("ready"); }
-  SimDuration on_task_begin(ContainerId, TaskRef t) override {
-    push("begin:" + std::to_string(value_of(t.job->id)));
-    return exec_ms_;
-  }
-  void on_task_finish(ContainerId, TaskRef t) override {
-    push("finish:" + std::to_string(value_of(t.job->id)));
-  }
-
-  std::vector<std::string> events() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return events_;
-  }
-  bool wait_for(std::size_t n, std::chrono::milliseconds budget) {
-    std::unique_lock<std::mutex> lock(mu_);
-    return cv_.wait_for(lock, budget, [&] { return events_.size() >= n; });
-  }
-
- private:
-  void push(std::string e) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      events_.push_back(std::move(e));
-    }
-    cv_.notify_all();
-  }
-  const SimDuration exec_ms_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<std::string> events_;
-};
-
-TEST(LiveContainer, ColdStartsThenServesItsQueueInOrder) {
-  LiveClock clock(1000.0);
-  MockHost host(/*exec_ms=*/500.0);  // 0.5 wall ms per task
-  Job a, b, c;
-  a.id = static_cast<JobId>(1);
-  b.id = static_cast<JobId>(2);
-  c.id = static_cast<JobId>(3);
-  clock.start();
-  LiveContainer worker(static_cast<ContainerId>(7), "ASR", clock,
-                       /*spawned_at=*/0.0, /*cold_ms=*/seconds(1.0),
-                       /*batch_capacity=*/2, &host);
-  // The bounded batch queue: B_size slots, no more.
-  EXPECT_TRUE(worker.submit(TaskRef{&a, 0}));
-  EXPECT_TRUE(worker.submit(TaskRef{&b, 0}));
-  EXPECT_FALSE(worker.submit(TaskRef{&c, 0}));
-  worker.start();
-  ASSERT_TRUE(host.wait_for(5, std::chrono::seconds(20)));
-  worker.request_stop();
-  worker.join();
-  EXPECT_EQ(host.events(),
-            (std::vector<std::string>{"ready", "begin:1", "finish:1",
-                                      "begin:2", "finish:2"}));
-}
-
-TEST(LiveContainer, StopInterruptsTheColdStartSleep) {
-  LiveClock clock(1.0);  // real time: the 10-minute cold start never elapses
-  MockHost host;
-  clock.start();
-  LiveContainer worker(static_cast<ContainerId>(1), "ASR", clock, 0.0,
-                       minutes(10.0), 1, &host);
-  worker.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  worker.request_stop();
-  worker.join();  // must return promptly, without the ready callback
-  EXPECT_TRUE(host.events().empty());
-}
-
-TEST(LiveContainer, StartIsDeferredAndIdempotent) {
-  LiveClock clock(1000.0);
-  MockHost host;
-  LiveContainer worker(static_cast<ContainerId>(1), "ASR", clock, 0.0, 100.0,
-                       1, &host);
-  // Not started: no thread, no callbacks.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(host.events().empty());
-  clock.start();
-  worker.start();
-  worker.start();  // second call is a no-op
-  ASSERT_TRUE(host.wait_for(1, std::chrono::seconds(20)));
-  worker.request_stop();
-  worker.join();
-  EXPECT_EQ(host.events(), (std::vector<std::string>{"ready"}));
-}
-
 // --------------------------------------------------------------- live runs
 
 ExperimentParams live_params(const RmConfig& rm, double duration_s,
@@ -284,9 +102,13 @@ TEST(LiveRuntime, SmokeDrainsAllJobs) {
   EXPECT_GT(r.result.jobs_submitted, 50u);
   EXPECT_EQ(r.result.jobs_completed, r.result.jobs_submitted);
   EXPECT_GT(r.result.containers_spawned, 0u);
-  EXPECT_GT(r.peak_worker_threads, 0u);
-  // Arrivals, bus deliveries, and periodic ticks all ride the timer queue.
+  // Containers are events on the loop, not threads.
+  EXPECT_EQ(r.peak_worker_threads, 0u);
+  // Arrivals, bus deliveries, container events and periodic ticks are all
+  // events, and each one's lag is sampled; each arrival's admission too.
   EXPECT_GT(r.timer_events, r.result.jobs_submitted);
+  EXPECT_EQ(r.timer_lag.samples, r.timer_events);
+  EXPECT_EQ(r.admission_lag.samples, r.result.jobs_submitted);
   EXPECT_DOUBLE_EQ(r.time_scale, 400.0);
 }
 
@@ -491,6 +313,274 @@ TEST(LiveRuntime, BoundedShutdownHonorsTheWallBudget) {
   EXPECT_LT(wall, std::chrono::seconds(30));  // generous CI margin
 }
 
+// ------------------------------------------------------------ event pacing
+
+/// The lifecycle log's container lines (ExperimentParams::trace_log_path):
+/// container id -> {spawn time, sampled cold start}.
+struct SpawnRecord {
+  SimTime spawned_ms = 0.0;
+  SimDuration cold_ms = 0.0;
+};
+
+std::map<std::uint64_t, SpawnRecord> read_spawns(const std::string& path) {
+  std::map<std::uint64_t, SpawnRecord> out;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    const Json j = Json::parse(line);
+    if (j.at("type").as_string() != "container") continue;
+    out[static_cast<std::uint64_t>(j.at("id").as_number())] =
+        SpawnRecord{j.at("spawned_ms").as_number(), j.at("cold_start_ms").as_number()};
+  }
+  return out;
+}
+
+/// A live run with its spans and its lifecycle log's spawns.
+struct PacedRun {
+  LiveRunReport report;
+  std::map<std::uint64_t, SpawnRecord> spawns;
+  /// Container id -> the spans of the tasks it executed, by start time.
+  std::map<std::uint64_t, std::vector<obs::SpanRecord>> spans;
+};
+
+PacedRun run_paced(const RmConfig& rm, const std::string& tag) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "fifer_live_pacing";
+  fs::create_directories(dir);
+  auto p = live_params(rm, 20.0, 8.0);
+  p.trace_log_path = (dir / (tag + ".jsonl")).string();
+  auto sink = std::make_shared<obs::RecordingTraceSink>();
+  p.trace_sink = sink;
+  LiveOptions o;
+  o.time_scale = 100.0;
+  PacedRun out;
+  out.report = run_live(p, o);
+  out.spawns = read_spawns(p.trace_log_path);
+  for (const obs::SpanRecord& s : sink->spans()) out.spans[s.container].push_back(s);
+  for (auto& [id, spans] : out.spans) {
+    std::sort(spans.begin(), spans.end(),
+              [](const obs::SpanRecord& a, const obs::SpanRecord& b) {
+                return a.exec_start < b.exec_start;
+              });
+  }
+  return out;
+}
+
+// A container is a ready event at the end of its cold start plus one finish
+// event per task: it executes nothing before it is ready, then serves its
+// local queue one task at a time, in the order tasks were dispatched to it.
+TEST(LivePacing, ContainersColdStartThenServeTheirQueueInOrder) {
+  const PacedRun run = run_paced(RmConfig::fifer(), "fifer");
+  ASSERT_TRUE(run.report.drained);
+  ASSERT_FALSE(run.spans.empty());
+  std::size_t queues_served = 0;
+  for (const auto& [id, spans] : run.spans) {
+    ASSERT_EQ(run.spawns.count(id), 1u) << "container " << id;
+    const SpawnRecord& spawn = run.spawns.at(id);
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      EXPECT_GE(spans[i].exec_start, spawn.spawned_ms + spawn.cold_ms)
+          << "container " << id;
+      if (i == 0) continue;
+      EXPECT_GE(spans[i].exec_start, spans[i - 1].exec_end) << "container " << id;
+      EXPECT_GE(spans[i].dispatched, spans[i - 1].dispatched) << "container " << id;
+    }
+    if (spans.size() > 1) ++queues_served;
+  }
+  EXPECT_GT(queues_served, 0u);
+}
+
+// SBatch spawns its pools offline, before the clock anchor. Their ready
+// events are due `cold_ms` into the simulated timeline, so each pool
+// container turns warm `cold_ms` after the anchor: not earlier (the offline
+// wall time does not count) and, by no more than one event's lag, later.
+TEST(LivePacing, OfflineSpawnedContainersAreReadyColdMsAfterTheAnchor) {
+  const PacedRun run = run_paced(RmConfig::sbatch(), "sbatch");
+  ASSERT_TRUE(run.report.drained);
+  std::size_t checked = 0;
+  for (const auto& [id, spans] : run.spans) {
+    const SpawnRecord& spawn = run.spawns.at(id);
+    if (spawn.spawned_ms != 0.0 || spans.front().cold_wait_ms <= 0.0) continue;
+    // The first task's cold-start wait runs from its enqueue to the instant
+    // the ready event marked the container warm.
+    const obs::SpanRecord& first = spans.front();
+    const SimTime marked_ready = first.enqueued + first.cold_wait_ms;
+    EXPECT_GE(marked_ready, spawn.cold_ms - 1e-6) << "container " << id;
+#ifndef FIFER_SANITIZED
+    // 10 wall ms at 100x.
+    EXPECT_LE(marked_ready, spawn.cold_ms + 1000.0) << "container " << id;
+#endif
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+/// A scaler that only registers the periodic steps a test hands it, through
+/// the PolicyContext every policy sees.
+class TickScaler final : public Scaler {
+ public:
+  explicit TickScaler(std::function<void(PolicyContext&)> install)
+      : install_(std::move(install)) {}
+  const char* name() const override { return "ticks"; }
+  void install(PolicyContext& ctx) override { install_(ctx); }
+
+ private:
+  std::function<void(PolicyContext&)> install_;
+};
+
+ExperimentParams tick_params(std::function<void(PolicyContext&)> install) {
+  auto p = live_params(RmConfig::rscale(), 10.0, /*lambda=*/0.0);
+  p.policy_factory = [install = std::move(install)](ExperimentParams& params) {
+    PolicyEngine e = params.rm.assemble(params);
+    e.scaler = std::make_unique<TickScaler>(install);
+    return e;
+  };
+  return p;
+}
+
+TEST(LivePacing, SameDeadlineStepsFireInScheduleOrder) {
+  std::vector<int> order;
+  auto p = tick_params([&order](PolicyContext& ctx) {
+    for (int k = 0; k < 3; ++k) {
+      ctx.every(seconds(1.0), [&order, k](SimTime) { order.push_back(k); });
+    }
+  });
+  // A period is 50 wall ms: only a step late by that much could reorder
+  // the next occurrences.
+  LiveOptions o;
+  o.time_scale = 20.0;
+  const LiveRunReport r = run_live(std::move(p), o);
+  ASSERT_TRUE(r.drained);
+  ASSERT_GE(order.size(), 9u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], static_cast<int>(i % 3)) << "step " << i;
+  }
+}
+
+TEST(LivePacing, PeriodicTicksSkipMissedOccurrences) {
+  // The first occurrence stalls the loop for 30 periods. A tick that
+  // replayed what it missed would then fire ~30 times at once.
+  constexpr SimDuration kPeriod = 100.0;
+  std::vector<SimTime> fired;
+  auto p = tick_params([&fired](PolicyContext& ctx) {
+    ctx.every(kPeriod, [&fired](SimTime now) {
+      fired.push_back(now);
+      if (fired.size() == 1) std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    });
+  });
+  LiveOptions o;
+  o.time_scale = 100.0;  // 30 wall ms = 3000 simulated ms
+  const LiveRunReport r = run_live(std::move(p), o);
+  ASSERT_TRUE(r.drained);
+  ASSERT_GE(fired.size(), 3u);
+  EXPECT_GE(fired[1] - fired[0], 2900.0);
+  const auto burst = std::count_if(fired.begin(), fired.end(), [&](SimTime t) {
+    return t >= fired[1] && t < fired[1] + kPeriod / 2.0;
+  });
+  EXPECT_LE(burst, 2);
+  EXPECT_LE(static_cast<double>(fired.size()),
+            (r.sim_duration_ms - (fired[1] - fired[0])) / kPeriod + 3.0);
+}
+
+/// An external source that submits nothing and reports finished from its
+/// own thread after `finish_after`, calling wake() like a FIN would; with
+/// `hammer`, it also calls wake() nonstop until the run stops it.
+class WakingSource : public ExternalArrivalSource {
+ public:
+  WakingSource(std::chrono::milliseconds finish_after, bool hammer)
+      : finish_after_(finish_after), hammer_(hammer) {}
+
+  void start(ExternalGate& gate, const LiveClock&) override {
+    finisher_ = std::thread([this, &gate] {
+      std::this_thread::sleep_for(finish_after_);
+      finished_.store(true, std::memory_order_release);
+      gate.wake();
+    });
+    if (hammer_) {
+      hammerer_ = std::thread([this, &gate] {
+        while (!stopped_.load(std::memory_order_acquire)) gate.wake();
+      });
+    }
+  }
+  void on_completion(const ExternalCompletion&) override {}
+  bool finished() override { return finished_.load(std::memory_order_acquire); }
+  void stop() override {
+    stopped_.store(true, std::memory_order_release);
+    if (hammerer_.joinable()) hammerer_.join();
+    if (finisher_.joinable()) finisher_.join();
+  }
+
+ private:
+  const std::chrono::milliseconds finish_after_;
+  const bool hammer_;
+  std::thread finisher_;
+  std::thread hammerer_;
+  std::atomic<bool> finished_{false};
+  std::atomic<bool> stopped_{false};
+};
+
+TEST(LivePacing, FinWakeEndsTheDrainPromptly) {
+  // Real time: the loop sleeps toward the scaler's next tick, seconds away.
+  // Only the wake can end the run early.
+  WakingSource source(std::chrono::milliseconds(20), /*hammer=*/false);
+  LiveOptions o;
+  o.time_scale = 1.0;
+  o.max_wall_seconds = 30.0;
+  o.external_source = &source;
+  const auto t0 = std::chrono::steady_clock::now();
+  const LiveRunReport r = run_live(live_params(RmConfig::rscale(), 10.0, 5.0), o);
+  const auto wall = std::chrono::steady_clock::now() - t0;
+  EXPECT_TRUE(r.drained);
+  EXPECT_LT(wall, std::chrono::seconds(5));
+}
+
+TEST(LivePacing, WakesRacingTheHardDeadlineEndTheRunOnce) {
+  // Wakes arrive nonstop while the source finishes right at the hard
+  // deadline: whichever wins, the loop ends once, without hanging.
+  WakingSource source(std::chrono::milliseconds(50), /*hammer=*/true);
+  LiveOptions o;
+  o.time_scale = 1.0;
+  o.max_wall_seconds = 0.05;
+  o.external_source = &source;
+  const auto t0 = std::chrono::steady_clock::now();
+  const LiveRunReport r = run_live(live_params(RmConfig::rscale(), 10.0, 5.0), o);
+  const auto wall = std::chrono::steady_clock::now() - t0;
+  EXPECT_EQ(r.result.jobs_submitted, 0u);
+  EXPECT_GE(wall, std::chrono::milliseconds(40));
+  EXPECT_LT(wall, std::chrono::seconds(20));  // generous CI margin
+}
+
+TEST(LivePacing, ShutdownWithPendingContainerEventsEndsCleanly) {
+  // Cut at 3 simulated seconds: Bline spawns on demand, so containers are
+  // still cold-starting (pending ready events) and executing (pending
+  // finish events) when the budget runs out.
+  LiveOptions o;
+  o.time_scale = 10.0;
+  o.max_wall_seconds = 0.3;
+  const auto t0 = std::chrono::steady_clock::now();
+  const LiveRunReport r = run_live(live_params(RmConfig::bline(), 60.0, 20.0), o);
+  const auto wall = std::chrono::steady_clock::now() - t0;
+  EXPECT_FALSE(r.drained);
+  EXPECT_GT(r.result.containers_spawned, 0u);
+  EXPECT_LT(r.result.jobs_completed, r.result.jobs_submitted);
+  EXPECT_LT(wall, std::chrono::seconds(20));
+}
+
+// One seed, one request sequence: every preset's simulator run submits
+// exactly the materialized plan's arrivals past the warm-up — SBatch
+// included, whose offline start draws cold starts from the seed stream.
+TEST(ArrivalPlan, EveryPresetReplaysTheMaterializedPlan) {
+  for (const char* name : {"bline", "sbatch", "rscale", "bpred", "fifer", "hpa"}) {
+    ExperimentParams p = live_params(RmConfig::by_name(name), 30.0, 5.0, /*seed=*/3);
+    p.warmup_ms = seconds(5.0);
+    std::uint64_t planned = 0;
+    for (const Arrival& a : materialize_arrival_plan(p)) {
+      if (a.time >= p.warmup_ms) ++planned;
+    }
+    ASSERT_GT(planned, 0u);
+    EXPECT_EQ(run_experiment(p).jobs_submitted, planned) << name;
+  }
+}
+
 // ---------------------------------------------------------------- fidelity
 
 // The Figure-8 contract at test scale: the simulator and the live prototype,
@@ -516,22 +606,32 @@ TEST(LiveRuntime, FidelityMatchesSimulatorOnSharedSeed) {
   const LiveRunReport live = run_live(std::move(p), o);
   ASSERT_TRUE(live.drained);
 
-  // Same seed, same RNG split: the arrival plans are identical, so the two
-  // runs process the same request sequence.
-  EXPECT_EQ(live.result.jobs_submitted, sim.jobs_submitted);
-  EXPECT_EQ(live.result.jobs_completed, sim.jobs_completed);
+  // How far the live run fell behind its clock, for every failure message.
+  std::ostringstream lag;
+  lag << "; timer lag p50/p99/max " << live.timer_lag.p50_ms << "/"
+      << live.timer_lag.p99_ms << "/" << live.timer_lag.max_ms
+      << " sim ms, admission lag " << live.admission_lag.p50_ms << "/"
+      << live.admission_lag.p99_ms << "/" << live.admission_lag.max_ms
+      << " sim ms";
+
+  // Same seed, same RNG split: the arrival plans are identical, and warm-up
+  // membership counts from the planned arrival, so the two runs measure the
+  // same request set.
+  EXPECT_EQ(live.result.jobs_submitted, sim.jobs_submitted) << lag.str();
+  EXPECT_EQ(live.result.jobs_completed, sim.jobs_completed) << lag.str();
 
   const double delta_pp =
       std::abs(live.result.slo_violation_pct() - sim.slo_violation_pct());
   EXPECT_LE(delta_pp, 5.0) << "SLO violations: sim " << sim.slo_violation_pct()
                            << "% vs live " << live.result.slo_violation_pct()
-                           << "%";
+                           << "%" << lag.str();
 
   const auto sim_peak = static_cast<double>(sim.peak_active_containers);
   const auto live_peak = static_cast<double>(live.result.peak_active_containers);
   ASSERT_GT(sim_peak, 0.0);
   EXPECT_LE(std::abs(live_peak - sim_peak), std::max(0.10 * sim_peak, 1.0))
-      << "peak containers: sim " << sim_peak << " vs live " << live_peak;
+      << "peak containers: sim " << sim_peak << " vs live " << live_peak
+      << lag.str();
 }
 
 }  // namespace

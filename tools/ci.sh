@@ -30,7 +30,8 @@
 #
 # Legs 1-2 run the full ctest suite; the release leg additionally runs the
 # tracing-overhead benchmark (the ≤2% null-sink contract of DESIGN.md §5d
-# only holds in an optimized build), a wall-budgeted live-mode smoke run
+# only holds in an optimized build), the sim-vs-live fidelity test twenty
+# times over, a wall-budgeted live-mode smoke run
 # (a 100x-compressed trace must finish inside its real-time envelope — only
 # meaningful without sanitizer slowdown), the perf smoke: bench_scale's
 # zero-allocation dispatch probe (DESIGN.md §5g), refreshing
@@ -105,6 +106,14 @@ echo "==== [release] tracing overhead (null-sink event loop vs recording)"
 "$ROOT/build-ci-release/bench/bench_overheads" \
   --benchmark_filter='BM_EventLoopTracing'
 
+# Sim-vs-live fidelity (DESIGN.md §5e), repeated: the live run must keep
+# pace with its clock every time, not most of the time. ctest runs it once;
+# twenty back-to-back repeats catch a pacing regression that makes it flaky.
+echo "==== [release] sim-vs-live fidelity, 20 repeats"
+"$ROOT/build-ci-release/tests/test_runtime" \
+  --gtest_filter='LiveRuntime.FidelityMatchesSimulatorOnSharedSeed' \
+  --gtest_repeat=20 --gtest_brief=1
+
 # Live-mode wall budget: 60 s of trace at 100x compression is 0.6 s of
 # replay; with cold-start drain and process startup the whole run must stay
 # under 30 s of wall time or the runtime is pacing far off its clock.
@@ -163,7 +172,7 @@ echo "==== [tsan] build"
 cmake --build "$ROOT/build-ci-tsan" -j "$JOBS"
 echo "==== [tsan] test (thread pool + parallel sweeps + framework + live runtime + net)"
 ctest --test-dir "$ROOT/build-ci-tsan" --output-on-failure -j "$JOBS" \
-  -R 'ThreadPool|ParallelForIndex|SweepParallel|GridSweep|Sweep\.|Framework\.|LiveClock|WallTimerQueue|LiveContainer|LiveRuntime|Sync|Wire\.|Listener\.|Poller\.|Server\.|ServeSession'
+  -R 'ThreadPool|ParallelForIndex|SweepParallel|GridSweep|Sweep\.|Framework\.|LiveClock|LivePacing|LiveRuntime|ArrivalPlan|Sync|Wire\.|Listener\.|Poller\.|Server\.|LoadGen\.|ServeSession'
 
 # Loopback serve smoke under TSan: one fifer_cli process serving over TCP,
 # a second one load-generating against it — the full cross-process drain
