@@ -78,8 +78,11 @@ std::uint64_t allocs() {
 // Drives one warm steady-state dispatch cycle — the exact per-event work the
 // simulator's hot loop performs once fleets and queues have warmed up:
 // schedule + fire an event carrying a framework-sized capture, stage
-// enqueue/select/pop, container enqueue/pop/execute, and a live-fleet
-// sweep. After a warmup pass settles vector capacities, `iters` further
+// enqueue/select/pop, container enqueue/pop/execute (each a fleet-index
+// update), and a live-fleet sweep. The fleet is 64 warm containers at
+// mixed occupancy, and each cycle also moves one more container's
+// occupancy by a slot, round robin, so the index's heaps sift in every
+// cycle. After a warmup pass settles vector capacities, `iters` further
 // cycles must perform ZERO allocations (DESIGN.md §5g). Excluded by design:
 // container spawn/terminate (rare, not per-event) and
 // StageState::record_wait (bounded deque, trimmed on a horizon, not part of
@@ -96,18 +99,27 @@ ProbeResult steady_state_probe(std::uint64_t iters) {
   prof.stage = "ASR";  // short name: stays in the string's inline buffer
   prof.exec_ms = 40.0;
   prof.slack_ms = 200.0;
-  prof.batch = 4;
+  prof.batch = 8;
   StageState st(prof, SchedulerPolicy::kLeastSlackFirst);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    Container& c = st.add_container(static_cast<ContainerId>(i),
-                                    static_cast<NodeId>(0), prof.batch, 0.0, 0.0);
-    c.mark_warm(0.0);
-  }
 
   EventQueue q;
 
   Job job;
   job.records.resize(1);
+
+  // Container i starts with i % B_size queued tasks, so every free-slot
+  // count from 1 to B_size is present.
+  constexpr std::size_t kFleet = 64;
+  std::vector<Container*> fleet;
+  for (std::size_t i = 0; i < kFleet; ++i) {
+    Container& c = st.add_container(static_cast<ContainerId>(i),
+                                    static_cast<NodeId>(0), prof.batch, 0.0, 0.0);
+    c.mark_warm(0.0);
+    for (std::size_t k = 0; k < i % static_cast<std::size_t>(prof.batch); ++k) {
+      c.enqueue(TaskRef{&job, 0});
+    }
+    fleet.push_back(&c);
+  }
 
   double t = 1.0;
   int live_sum = 0;
@@ -127,6 +139,15 @@ ProbeResult steady_state_probe(std::uint64_t iters) {
       fired.callback();
       c->begin_execution(t);
       c->end_execution(t + 0.5);
+      // Even passes over the fleet add a task to each container, odd passes
+      // take one back: occupancies stay within one slot of their start, so
+      // some container always has a free slot.
+      Container& rr = *fleet[i % kFleet];
+      if ((i / kFleet) % 2 == 0) {
+        if (rr.free_slots() > 0) rr.enqueue(TaskRef{&job, 0});
+      } else if (rr.queued() > 0) {
+        (void)rr.pop();
+      }
       for (const Container& cc : st.live()) live_sum += cc.warm() ? 1 : 0;
     }
   };

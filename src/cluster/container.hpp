@@ -10,6 +10,8 @@
 
 namespace fifer {
 
+class FleetIndex;
+
 /// Lifecycle states of a container.
 enum class ContainerState {
   kProvisioning,  ///< Spawned; cold start in progress.
@@ -27,10 +29,18 @@ const char* to_string(ContainerState s);
 /// executed by this container back-to-back without violating the stage's
 /// slack. The scheduling and scaling *decisions* live in `core/`; this class
 /// only tracks occupancy and lifecycle.
+///
+/// A container admitted into a stage's fleet reports every change of state,
+/// occupancy, B_size or last use to that stage's FleetIndex
+/// (cluster/fleet_index.hpp): each mutator snapshots its Footprint first and
+/// hands it to the index afterwards. A standalone container reports nowhere.
+/// The index holds pointers to it, so a container never moves or copies.
 class Container {
  public:
   Container(ContainerId id, std::string service, NodeId node, int batch_size,
             SimTime spawned_at, SimDuration cold_start_ms);
+  Container(const Container&) = delete;
+  Container& operator=(const Container&) = delete;
 
   ContainerId id() const { return id_; }
   const std::string& service() const { return service_; }
@@ -62,8 +72,7 @@ class Container {
   void mark_warm(SimTime now);
 
   /// Slots currently in use: queued tasks plus the in-flight one. Inline —
-  /// every fleet scan (placement, scaling snapshots) calls this per
-  /// container, and the call overhead dominated scan cost when out-of-line.
+  /// every mutator's report to the fleet index calls it.
   int occupied() const {
     return static_cast<int>(queued()) + (executing_ ? 1 : 0);
   }
@@ -104,6 +113,19 @@ class Container {
   SimDuration busy_ms() const { return busy_ms_; }
 
  private:
+  friend class FleetIndex;
+  static constexpr std::uint32_t kNotIndexed = 0xffffffffu;
+
+  /// What the container adds to its stage's fleet counts.
+  struct Footprint {
+    ContainerState state;
+    int free_slots;
+    int batch_size;
+  };
+  Footprint footprint() const { return {state_, free_slots(), batch_size_}; }
+  /// Hands the pre-change footprint to the fleet index, if any.
+  void report(const Footprint& before);
+
   ContainerId id_;
   SlabHandle<Container> handle_;
   std::string service_;
@@ -123,6 +145,13 @@ class Container {
   std::uint64_t jobs_executed_ = 0;
   SimDuration busy_ms_ = 0.0;
   SimTime exec_started_at_ = 0.0;
+  /// FleetIndex bookkeeping: the index this container reports to, its
+  /// admission order within the stage, and its positions in the index's
+  /// placement and idle heaps (kNotIndexed when not a member).
+  FleetIndex* index_ = nullptr;
+  std::uint64_t admission_seq_ = 0;
+  std::uint32_t placement_pos_ = kNotIndexed;
+  std::uint32_t idle_pos_ = kNotIndexed;
 };
 
 }  // namespace fifer

@@ -51,8 +51,8 @@ struct SlabHandle {
 ///    `std::vector<std::unique_ptr<T>>` fleet it replaces (push_back +
 ///    order-preserving erase) — the property the golden-digest tests pin —
 ///    while each step is an independent, prefetchable indexed load rather
-///    than a serialized pointer chase (fleet scans dominate the dispatch
-///    loop; see bench_scale).
+///    than a serialized pointer chase (the reaper, the conservation check
+///    and the scalers' sweeps still scan fleets once per tick).
 ///  - **Use-after-erase detection.** `get()` on a stale handle returns
 ///    nullptr instead of a dangling pointer.
 ///

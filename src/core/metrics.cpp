@@ -32,25 +32,21 @@ void MetricsCollector::on_job_completed(const Job& job) {
   result_.cold_wait_ms.add(job.total_cold_start_wait_ms());
 }
 
-void MetricsCollector::on_task_executed(const std::string& stage_name,
-                                        const StageRecord& rec) {
-  StageMetrics& sm = stage(stage_name);
+void MetricsCollector::on_task_executed(StageMetrics& sm, const StageRecord& rec,
+                                        bool first_on_container) {
   ++sm.tasks_executed;
+  sm.containers_executed += first_on_container ? 1 : 0;
   sm.queue_wait_ms.add(rec.queue_wait_ms());
   sm.exec_ms.add(rec.exec_ms);
-  executed_containers_[stage_name].insert(rec.container);
 }
 
-void MetricsCollector::on_container_spawned(const std::string& stage_name) {
-  StageMetrics& sm = stage(stage_name);
+void MetricsCollector::on_container_spawned(StageMetrics& sm) {
   ++sm.containers_spawned;
   ++sm.cold_starts;
   ++result_.containers_spawned;
 }
 
-void MetricsCollector::on_spawn_failure(const std::string& stage_name) {
-  ++stage(stage_name).spawn_failures;
-}
+void MetricsCollector::on_spawn_failure(StageMetrics& sm) { ++sm.spawn_failures; }
 
 void MetricsCollector::record_timeline(TimelineSample sample) {
   result_.peak_active_containers =
@@ -63,9 +59,14 @@ ExperimentResult MetricsCollector::finish(SimDuration duration_ms,
                                           double energy_joules) {
   result_.duration_ms = duration_ms;
   result_.energy_joules = energy_joules;
-  for (const auto& [name, ids] : executed_containers_) {
-    stage(name).containers_executed = ids.size();
-  }
+  // Every hook bumps one of these three counters, so an all-zero stage is
+  // one nothing happened on: the result lists the stages that saw a spawn,
+  // a spawn failure or a task, however early their slots were resolved.
+  std::erase_if(result_.stages, [](const auto& entry) {
+    const StageMetrics& sm = entry.second;
+    return sm.containers_spawned == 0 && sm.spawn_failures == 0 &&
+           sm.tasks_executed == 0;
+  });
   if (!result_.timeline.empty()) {
     double acc = 0.0;
     for (const auto& s : result_.timeline) {

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -111,22 +110,26 @@ class MetricsCollector {
   void on_job_submitted(const Job& job);
   /// Folds a finished job into the aggregates (latency breakdown, SLO).
   void on_job_completed(const Job& job);
-  void on_task_executed(const std::string& stage, const StageRecord& rec);
-  void on_container_spawned(const std::string& stage);
-  void on_spawn_failure(const std::string& stage);
+
+  /// The counters of stage `name`, created on first call. The reference
+  /// stays valid until finish(), so a caller resolves it once per stage.
+  /// finish() leaves out a stage that saw no spawn, spawn failure or task.
+  StageMetrics& stage(const std::string& name);
+  /// Counts a finished task; `first_on_container` marks the first task its
+  /// container finished (container ids are never reused, so these count
+  /// the distinct containers that executed).
+  void on_task_executed(StageMetrics& sm, const StageRecord& rec,
+                        bool first_on_container);
+  void on_container_spawned(StageMetrics& sm);
+  void on_spawn_failure(StageMetrics& sm);
   void record_timeline(TimelineSample sample);
 
   /// Finalizes time-averaged series and moves the result out.
   ExperimentResult finish(SimDuration duration_ms, double energy_joules);
 
  private:
-  StageMetrics& stage(const std::string& name);
-
   SimTime warmup_ms_;
   ExperimentResult result_;
-  /// Distinct containers seen executing per stage; folded into
-  /// StageMetrics::containers_executed at finish().
-  std::map<std::string, std::set<ContainerId>> executed_containers_;
 };
 
 }  // namespace fifer

@@ -33,9 +33,11 @@ class Container;
 ///
 /// Hot-path contract (DESIGN.md §5g): everything reachable from here during
 /// steady state is non-allocating — `StageState::live()` is a filtered view
-/// over slab storage (no vector is materialized), counters are O(fleet)
-/// scans, and spawn/terminate recycle slab slots. A policy that stays on
-/// these accessors adds no per-decision heap traffic to the event loop.
+/// over slab storage (no vector is materialized), the fleet counters and
+/// `select_container()` are O(1) reads of the stage's fleet index, and
+/// spawn/terminate recycle slab slots. A policy that stays on these
+/// accessors adds no per-decision heap traffic to the event loop; one that
+/// iterates `live()` pays O(fleet) per call.
 class PolicyContext {
  public:
   virtual ~PolicyContext() = default;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "common/check.hpp"
@@ -34,8 +35,22 @@ RequestPath::RequestPath(ExperimentParams params, Pacer& pacer)
       rng_(params_.seed),
       arrival_rng_(split_arrival_stream(rng_)),
       bus_(params_.bus) {
+  // Stages are built in place (their containers point into them) with
+  // their microservice and metrics slot, and each chain maps to its
+  // stages, so no per-task step looks anything up by name. A chain with a
+  // stage outside the mix keeps a null there.
   for (const auto& [name, profile] : profiles_.stages()) {
-    stages_.emplace(name, StageState(profile, engine_.scheduler->policy()));
+    stages_.emplace(std::piecewise_construct, std::forward_as_tuple(name),
+                    std::forward_as_tuple(profile, engine_.scheduler->policy(),
+                                          &services_.at(name),
+                                          &metrics_.stage(name)));
+  }
+  for (const ApplicationChain& app : apps_.all()) {
+    std::vector<StageState*>& chain = chains_.emplace_back();
+    for (const std::string& stage : app.stages) {
+      const auto it = stages_.find(stage);
+      chain.push_back(it == stages_.end() ? nullptr : &it->second);
+    }
   }
   if (!params_.trace_log_path.empty()) {
     trace_log_.open(params_.trace_log_path);
@@ -52,12 +67,6 @@ RequestPath::RequestPath(ExperimentParams params, Pacer& pacer)
     prof_ = &profiler_;
     cluster_.set_profiler(prof_);
   }
-}
-
-StageState& RequestPath::stage_of(const std::string& name) {
-  const auto it = stages_.find(name);
-  FIFER_CHECK(it != stages_.end(), kCore) << "unknown stage " << name;
-  return it->second;
 }
 
 // ------------------------------------------------------------ driving a run
@@ -146,7 +155,12 @@ void RequestPath::transition_to_stage(Job& job, std::size_t stage_index) {
 
 void RequestPath::enqueue_task(Job& job, std::size_t stage_index) {
   const SimTime now = pacer_.now();
-  StageState& st = stage_of(job.app->stages[stage_index]);
+  // job.app points into apps_, whose order chains_ follows.
+  StageState* const stp =
+      chains_[static_cast<std::size_t>(job.app - apps_.all().data())][stage_index];
+  FIFER_CHECK(stp != nullptr, kCore)
+      << "unknown stage " << job.app->stages[stage_index];
+  StageState& st = *stp;
   job.records[stage_index].enqueued = now;
   const double key = engine_.scheduler->priority_key(*this, job, stage_index);
   st.enqueue(TaskRef{&job, stage_index}, key);
@@ -231,7 +245,7 @@ TaskRef RequestPath::begin_task(StageState& st, Container& c) {
   FIFER_DCHECK_LE(rec.cold_start_wait_ms, rec.wait_ms(), kCore);
   st.record_wait(now, rec.wait_ms());
 
-  rec.exec_ms = services_.at(st.name()).sample_exec_ms(rng_, task.job->input_scale);
+  rec.exec_ms = st.service()->sample_exec_ms(rng_, task.job->input_scale);
   c.begin_execution(now);
   return task;
 }
@@ -249,7 +263,7 @@ void RequestPath::finish_task(StageState& st, SlabHandle<Container> h,
   rec.exec_end = now;
   FIFER_DCHECK_GE(rec.exec_end, rec.exec_start, kCore);
   c.end_execution(now);
-  metrics_.on_task_executed(st.name(), rec);
+  metrics_.on_task_executed(*st.metrics(), rec, c.jobs_executed() == 1);
   if (obs::TraceSink* t = sink_.get()) {
     obs::SpanRecord span;
     span.job = value_of(task.job->id);
@@ -294,7 +308,7 @@ void RequestPath::complete_job(Job& job) {
 
 Container* RequestPath::spawn_container(StageState& st) {
   const SimTime now = pacer_.now();
-  const MicroserviceSpec& spec = services_.at(st.name());
+  const MicroserviceSpec& spec = *st.service();
   auto node = cluster_.allocate(spec.cpu_cores, spec.memory_mb,
                                 engine_.placer->node_selection(), now);
   if (!node && params_.rm.enable_reclamation && reclaim_idle_capacity()) {
@@ -302,13 +316,13 @@ Container* RequestPath::spawn_container(StageState& st) {
                              engine_.placer->node_selection(), now);
   }
   if (!node) {
-    metrics_.on_spawn_failure(st.name());
+    metrics_.on_spawn_failure(*st.metrics());
     return nullptr;
   }
   const auto id = static_cast<ContainerId>(next_container_id_++);
   const SimDuration cold = params_.cold_start.sample_cold_start_ms(spec, rng_);
   Container& c = st.add_container(id, *node, st.profile().batch, now, cold);
-  metrics_.on_container_spawned(st.name());
+  metrics_.on_container_spawned(*st.metrics());
   log_container(st.name(), id, cold);
   StageState* stp = &st;
   const SlabHandle<Container> h = c.handle();
@@ -318,7 +332,7 @@ Container* RequestPath::spawn_container(StageState& st) {
 
 void RequestPath::terminate_container(StageState& st, Container& c) {
   const SimTime now = pacer_.now();
-  const MicroserviceSpec& spec = services_.at(st.name());
+  const MicroserviceSpec& spec = *st.service();
   cluster_.release(c.node(), spec.cpu_cores, spec.memory_mb, now);
   c.terminate(now);
 }
@@ -337,17 +351,19 @@ void RequestPath::container_ready(StageState& st, SlabHandle<Container> h) {
 }
 
 bool RequestPath::reclaim_idle_capacity() {
+  // The least recently used idle container across stages: each stage's
+  // candidate is the top of its index's idle heap, and an earlier stage
+  // (map order) keeps a tie.
   StageState* victim_stage = nullptr;
   Container* victim = nullptr;
   for (auto& [name, st] : stages_) {
     // Never shrink a stage that has work waiting or only one container.
     if (st.queue_length() > 0 || st.live_count() <= 1) continue;
-    for (Container& c : st.live()) {
-      if (c.state() != ContainerState::kIdle || c.queued() > 0) continue;
-      if (victim == nullptr || c.last_used_at() < victim->last_used_at()) {
-        victim = &c;
-        victim_stage = &st;
-      }
+    Container* c = st.least_recently_used_idle();
+    if (c != nullptr &&
+        (victim == nullptr || c->last_used_at() < victim->last_used_at())) {
+      victim = c;
+      victim_stage = &st;
     }
   }
   if (victim == nullptr) return false;
@@ -391,6 +407,10 @@ void RequestPath::check_request_conservation() const {
 
 void RequestPath::housekeeping_tick() {
   check_request_conservation();
+  for (const auto& [name, st] : stages_) {
+    FIFER_DCHECK_EQ(st.audit_fleet_index(), std::string(), kCore)
+        << "fleet index of stage " << name << " disagrees with a scan";
+  }
   reap_idle_containers();
   const SimTime now = pacer_.now();
   cluster_.power_down_idle_nodes(now);

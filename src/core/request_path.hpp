@@ -136,7 +136,6 @@ class RequestPath : public PolicyContext {
   ExperimentResult finish(SimTime end);
 
  private:
-  StageState& stage_of(const std::string& name);
   /// Publishes the transition to stage `stage_index` on the event bus; the
   /// task enters the stage queue when the bus delivers it.
   void transition_to_stage(Job& job, std::size_t stage_index);
@@ -184,6 +183,9 @@ class RequestPath : public PolicyContext {
   PolicyEngine engine_;
   ProfileBook profiles_;
   std::map<std::string, StageState> stages_;
+  /// Per application, in apps_ order: the stages of its chain (null where
+  /// a stage has no profile, i.e. the app is outside the mix).
+  std::vector<std::vector<StageState*>> chains_;
   MetricsCollector metrics_;
   Rng rng_;
   /// The arrival plan's stream, split off `rng_` at construction.

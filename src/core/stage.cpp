@@ -1,13 +1,18 @@
 #include "core/stage.hpp"
 
+#include <sstream>
 #include <stdexcept>
 
 #include "common/check.hpp"
 
 namespace fifer {
 
-StageState::StageState(StageProfile profile, SchedulerPolicy scheduler)
-    : profile_(std::move(profile)), scheduler_(scheduler) {}
+StageState::StageState(StageProfile profile, SchedulerPolicy scheduler,
+                       const MicroserviceSpec* service, StageMetrics* metrics)
+    : profile_(std::move(profile)),
+      scheduler_(scheduler),
+      service_(service),
+      metrics_(metrics) {}
 
 void StageState::enqueue(TaskRef task, double priority_key) {
   const double key =
@@ -40,32 +45,8 @@ Container& StageState::add_container(ContainerId id, NodeId node, int batch_size
       id, profile_.stage, node, batch_size, spawned_at, cold_start_ms);
   Container& c = containers_[h];
   c.set_handle(h);
+  index_.admit(c);
   return c;
-}
-
-std::size_t StageState::live_count() const {
-  std::size_t n = 0;
-  for (const Container& c : containers_) n += c.terminated() ? 0 : 1;
-  return n;
-}
-
-Container* StageState::select_container() {
-  // First container with the strictly fewest free slots wins (ties keep the
-  // earlier admission — the order the golden digests pin). free_slots() is
-  // computed once per candidate; this scan runs once per dispatched task
-  // and dominates the dispatch loop at large fleets.
-  Container* best = nullptr;
-  int best_free = 0;
-  for (Container& c : containers_) {
-    if (!c.warm()) continue;
-    const int f = c.free_slots();
-    if (f <= 0) continue;
-    if (best == nullptr || f < best_free) {
-      best = &c;
-      best_free = f;
-    }
-  }
-  return best;
 }
 
 Container& StageState::container(ContainerId id) {
@@ -75,50 +56,49 @@ Container& StageState::container(ContainerId id) {
   throw std::out_of_range("StageState::container: unknown or terminated id");
 }
 
-std::size_t StageState::warm_count() const {
-  std::size_t n = 0;
-  for (const Container& c : containers_) n += c.warm() ? 1 : 0;
-  return n;
-}
-
-std::size_t StageState::provisioning_count() const {
-  std::size_t n = 0;
+std::string StageState::audit_fleet_index() const {
+  std::size_t warm = 0, provisioning = 0;
+  int warm_free = 0, provisioning_slots = 0, capacity = 0;
+  // Reference answers: the first container in admission order with the
+  // strictly fewest free slots, and the first idle, empty one with the
+  // strictly earliest last use.
+  const Container* best = nullptr;
+  const Container* lru = nullptr;
   for (const Container& c : containers_) {
-    n += c.state() == ContainerState::kProvisioning ? 1 : 0;
+    if (c.terminated()) continue;
+    capacity += c.batch_size();
+    if (!c.warm()) {
+      ++provisioning;
+      provisioning_slots += c.free_slots();
+      continue;
+    }
+    ++warm;
+    warm_free += c.free_slots();
+    if (c.free_slots() > 0 &&
+        (best == nullptr || c.free_slots() < best->free_slots())) {
+      best = &c;
+    }
+    if (c.state() == ContainerState::kIdle && c.queued() == 0 &&
+        (lru == nullptr || c.last_used_at() < lru->last_used_at())) {
+      lru = &c;
+    }
   }
-  return n;
-}
-
-int StageState::total_free_slots() const {
-  int n = 0;
-  for (const Container& c : containers_) {
-    if (!c.terminated()) n += c.free_slots();
-  }
-  return n;
-}
-
-int StageState::warm_free_slots() const {
-  int n = 0;
-  for (const Container& c : containers_) {
-    if (c.warm()) n += c.free_slots();
-  }
-  return n;
-}
-
-int StageState::provisioning_slots() const {
-  int n = 0;
-  for (const Container& c : containers_) {
-    if (c.state() == ContainerState::kProvisioning) n += c.free_slots();
-  }
-  return n;
-}
-
-int StageState::total_capacity() const {
-  int n = 0;
-  for (const Container& c : containers_) {
-    if (!c.terminated()) n += c.batch_size();
-  }
-  return n;
+  std::ostringstream out;
+  const auto expect = [&out](const char* what, auto scanned, auto indexed) {
+    if (scanned != indexed) {
+      out << what << " scanned " << scanned << " indexed " << indexed << "; ";
+    }
+  };
+  expect("live", warm + provisioning, live_count());
+  expect("warm", warm, warm_count());
+  expect("provisioning", provisioning, provisioning_count());
+  expect("total_free_slots", warm_free + provisioning_slots, total_free_slots());
+  expect("warm_free_slots", warm_free, warm_free_slots());
+  expect("provisioning_slots", provisioning_slots, this->provisioning_slots());
+  expect("total_capacity", capacity, total_capacity());
+  expect("select_container", best, index_.best_fit());
+  expect("least_recently_used_idle", lru, index_.least_recently_used_idle());
+  return out.str();
 }
 
 void StageState::erase_terminated() {

@@ -7,13 +7,17 @@
 #include <vector>
 
 #include "cluster/container.hpp"
+#include "cluster/fleet_index.hpp"
 #include "common/slab.hpp"
 #include "common/types.hpp"
 #include "core/app_profile.hpp"
 #include "core/rm_config.hpp"
+#include "workload/microservice.hpp"
 #include "workload/request.hpp"
 
 namespace fifer {
+
+struct StageMetrics;
 
 /// Runtime state of one stage (one microservice / function): the global
 /// request queue, the container fleet, and the rolling load statistics the
@@ -22,13 +26,26 @@ namespace fifer {
 /// The fleet lives in a `Slab<Container>` (common/slab.hpp): pointer-stable,
 /// freelist-recycled, iterated in insertion order — so monitor/scaler sweeps
 /// over `live()` are allocation-free and byte-identical to the
-/// `vector<unique_ptr>` fleet this replaced.
+/// `vector<unique_ptr>` fleet this replaced. Its counts, its placement
+/// choice and its reclamation candidate come from a FleetIndex
+/// (cluster/fleet_index.hpp) that the containers keep current, so none of
+/// them scans the fleet. The containers point at that index, so a stage
+/// never moves or copies: build it in place.
 class StageState {
  public:
-  StageState(StageProfile profile, SchedulerPolicy scheduler);
+  /// `service` and `metrics` are the stage's microservice and its metrics
+  /// slot, resolved once by the request path so no per-task step looks
+  /// them up by name; a standalone stage (tests, benches) has neither.
+  StageState(StageProfile profile, SchedulerPolicy scheduler,
+             const MicroserviceSpec* service = nullptr,
+             StageMetrics* metrics = nullptr);
+  StageState(const StageState&) = delete;
+  StageState& operator=(const StageState&) = delete;
 
   const StageProfile& profile() const { return profile_; }
   const std::string& name() const { return profile_.stage; }
+  const MicroserviceSpec* service() const { return service_; }
+  StageMetrics* metrics() const { return metrics_; }
 
   // ----- global request queue -----
 
@@ -48,19 +65,28 @@ class StageState {
 
   // ----- container fleet -----
 
-  /// Admits a freshly spawned container into the fleet slab and stamps its
-  /// slab handle. The container's service name is this stage's.
+  /// Admits a freshly spawned container into the fleet slab and the fleet
+  /// index, and stamps its slab handle. The container's service name is
+  /// this stage's.
   Container& add_container(ContainerId id, NodeId node, int batch_size,
                            SimTime spawned_at, SimDuration cold_start_ms);
 
   /// Greedy candidate selection (paper §4.4.1): among *warm* containers
   /// with at least one free slot, pick the one with the fewest free slots
-  /// (encourages early scale-in of lightly loaded containers). Tasks are
-  /// never bound to still-provisioning containers — they stay in the global
-  /// queue and are pulled when the cold start finishes, exactly as
-  /// Brigade's worker schedules only onto running pods. Returns nullptr
-  /// when no warm container has a slot.
-  Container* select_container();
+  /// (encourages early scale-in of lightly loaded containers), the earliest
+  /// admitted on ties. Tasks are never bound to still-provisioning
+  /// containers — they stay in the global queue and are pulled when the
+  /// cold start finishes, exactly as Brigade's worker schedules only onto
+  /// running pods. Returns nullptr when no warm container has a slot. O(1):
+  /// the top of the index's placement heap.
+  Container* select_container() { return index_.best_fit(); }
+
+  /// The idle, empty container used least recently (earliest last_used_at,
+  /// the earliest admitted on ties): this stage's candidate when idle
+  /// capacity is reclaimed under cluster pressure. nullptr when none. O(1).
+  Container* least_recently_used_idle() {
+    return index_.least_recently_used_idle();
+  }
 
   /// Container lookup by id (throws std::out_of_range when absent/reaped).
   /// Linear; hot paths use `get()` with the container's slab handle.
@@ -120,20 +146,27 @@ class StageState {
     return {containers_.begin(), containers_.end()};
   }
 
-  std::size_t live_count() const;
-  std::size_t warm_count() const;
-  std::size_t provisioning_count() const;
+  // Fleet counts: O(1) reads of the fleet index.
+  std::size_t live_count() const { return index_.live_count(); }
+  std::size_t warm_count() const { return index_.warm_count(); }
+  std::size_t provisioning_count() const { return index_.provisioning_count(); }
 
   /// Total free slots across live containers.
-  int total_free_slots() const;
+  int total_free_slots() const { return index_.total_free_slots(); }
   /// Free slots on warm containers only.
-  int warm_free_slots() const;
+  int warm_free_slots() const { return index_.warm_free_slots(); }
   /// Slot capacity of containers still cold-starting (they will pull from
   /// the global queue when ready, so pending spawns count as future supply).
-  int provisioning_slots() const;
+  int provisioning_slots() const { return index_.provisioning_slots(); }
   /// Total slot capacity (live containers x batch size) — Algorithm 1b's
   /// "current_req".
-  int total_capacity() const;
+  int total_capacity() const { return index_.total_capacity(); }
+
+  /// Recomputes every fleet count, the placement choice and the
+  /// reclamation candidate by scanning the fleet, and describes each one
+  /// the index disagrees on; empty when they all match. The reference for
+  /// the index (the housekeeping tick's FIFER_DCHECK).
+  std::string audit_fleet_index() const;
 
   /// Removes terminated containers from the fleet (driver reaps after
   /// releasing node resources). Their slab slots return to the freelist;
@@ -172,11 +205,14 @@ class StageState {
 
   StageProfile profile_;
   SchedulerPolicy scheduler_;
+  const MicroserviceSpec* service_;
+  StageMetrics* metrics_;
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> queue_;
   std::uint64_t seq_ = 0;
   std::uint64_t total_enqueued_ = 0;
   std::uint64_t total_dequeued_ = 0;
 
+  FleetIndex index_;
   Slab<Container> containers_;
   int keep_warm_floor_ = 0;
 

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "core/app_profile.hpp"
 #include "core/metrics.hpp"
 #include "core/rm_config.hpp"
@@ -291,6 +294,127 @@ TEST(StageState, RecentWaitHorizon) {
   EXPECT_DOUBLE_EQ(st.recent_mean_wait_ms(seconds(60.0), seconds(10.0)), 0.0);
 }
 
+// Model test for the fleet index: seeded random container operations, and
+// after each one every count, the placement choice and the reclamation
+// candidate against brute-force scans of the fleet.
+void expect_index_matches_scan(StageState& st, int op) {
+  std::size_t live = 0, warm = 0, provisioning = 0;
+  int total_free = 0, warm_free = 0, provisioning_slots = 0, capacity = 0;
+  const Container* best = nullptr;
+  const Container* lru = nullptr;
+  for (const Container& c : st.live()) {
+    ++live;
+    capacity += c.batch_size();
+    total_free += c.free_slots();
+    if (c.state() == ContainerState::kProvisioning) {
+      ++provisioning;
+      provisioning_slots += c.free_slots();
+    }
+    if (!c.warm()) continue;
+    ++warm;
+    warm_free += c.free_slots();
+    if (c.free_slots() > 0 &&
+        (best == nullptr || c.free_slots() < best->free_slots())) {
+      best = &c;
+    }
+    if (c.state() == ContainerState::kIdle && c.queued() == 0 &&
+        (lru == nullptr || c.last_used_at() < lru->last_used_at())) {
+      lru = &c;
+    }
+  }
+  ASSERT_EQ(st.live_count(), live) << "op " << op;
+  ASSERT_EQ(st.warm_count(), warm) << "op " << op;
+  ASSERT_EQ(st.provisioning_count(), provisioning) << "op " << op;
+  ASSERT_EQ(st.total_free_slots(), total_free) << "op " << op;
+  ASSERT_EQ(st.warm_free_slots(), warm_free) << "op " << op;
+  ASSERT_EQ(st.provisioning_slots(), provisioning_slots) << "op " << op;
+  ASSERT_EQ(st.total_capacity(), capacity) << "op " << op;
+  ASSERT_EQ(st.select_container(), best) << "op " << op;
+  ASSERT_EQ(st.least_recently_used_idle(), lru) << "op " << op;
+  ASSERT_EQ(st.audit_fleet_index(), "") << "op " << op;
+}
+
+void run_fleet_index_model(std::uint64_t seed) {
+  StageState st(test_profile(), SchedulerPolicy::kFifo);
+  Rng rng(seed);
+  Job job = make_job(apps().at("IPA"), 0.0);
+  std::uint64_t next_id = 0;
+  // Whole-ms steps that are often 0, so last-use ties are common.
+  SimTime now = 0.0;
+  const auto pick = [&rng](const std::vector<Container*>& from) -> Container* {
+    if (from.empty()) return nullptr;
+    return from[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+  };
+  const auto where = [&st](auto pred) {
+    std::vector<Container*> out;
+    for (Container& c : st.live()) {
+      if (pred(c)) out.push_back(&c);
+    }
+    return out;
+  };
+  for (int op = 0; op < 12000; ++op) {
+    now += static_cast<double>(rng.uniform_int(0, 2));
+    const std::int64_t kind = rng.uniform_int(0, 99);
+    if (kind < 12) {  // admit
+      if (st.live_count() < 64) {
+        make_c(st, next_id++, static_cast<int>(rng.uniform_int(1, 8)), now,
+               static_cast<double>(rng.uniform_int(0, 5)));
+      }
+    } else if (kind < 24) {  // ready
+      if (Container* c = pick(where([](const Container& c) {
+            return c.state() == ContainerState::kProvisioning;
+          }))) {
+        c->mark_warm(now);
+      }
+    } else if (kind < 50) {  // enqueue
+      if (Container* c = pick(where([](const Container& c) {
+            return c.warm() && c.free_slots() > 0;
+          }))) {
+        c->enqueue({&job, 0});
+      }
+    } else if (kind < 65) {  // pop + begin
+      if (Container* c = pick(where([](const Container& c) {
+            return c.state() == ContainerState::kIdle && c.queued() > 0;
+          }))) {
+        (void)c->pop();
+        c->begin_execution(now);
+      }
+    } else if (kind < 80) {  // end
+      if (Container* c = pick(where([](const Container& c) {
+            return c.state() == ContainerState::kBusy;
+          }))) {
+        c->end_execution(now);
+      }
+    } else if (kind < 88) {  // terminate
+      if (Container* c = pick(where([](const Container& c) {
+            return c.state() != ContainerState::kBusy;
+          }))) {
+        c->terminate(now);
+      }
+    } else if (kind < 95) {  // set_batch_size, never below occupancy
+      if (Container* c = pick(where([](const Container&) { return true; }))) {
+        c->set_batch_size(static_cast<int>(
+            rng.uniform_int(std::max(1, c->occupied()), 8)));
+      }
+    } else {
+      st.erase_terminated();
+    }
+    expect_index_matches_scan(st, op);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  // The run must have exercised a real fleet, not an empty one.
+  EXPECT_GT(next_id, 500u);
+}
+
+TEST(StageState, FleetIndexMatchesScansUnderRandomOperations) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    run_fleet_index_model(seed);
+    if (HasFatalFailure()) return;
+  }
+}
+
 // ---------------------------------------------------------------- metrics
 
 TEST(Metrics, WarmupExcludesEarlyJobs) {
@@ -334,9 +458,9 @@ TEST(Metrics, WarmupCountsFromThePlannedArrival) {
 
 TEST(Metrics, StageAggregatesAndRpc) {
   MetricsCollector mc;
-  mc.on_container_spawned("ASR");
-  mc.on_container_spawned("ASR");
-  mc.on_container_spawned("ASR");  // pre-warmed; never executes a task
+  mc.on_container_spawned(mc.stage("ASR"));
+  mc.on_container_spawned(mc.stage("ASR"));
+  mc.on_container_spawned(mc.stage("ASR"));  // pre-warmed; never executes a task
   StageRecord rec;
   rec.enqueued = 0.0;
   rec.dispatched = 0.0;
@@ -344,10 +468,10 @@ TEST(Metrics, StageAggregatesAndRpc) {
   rec.exec_end = 56.0;
   rec.exec_ms = 46.0;
   rec.container = static_cast<ContainerId>(1);
-  for (int i = 0; i < 4; ++i) mc.on_task_executed("ASR", rec);
+  for (int i = 0; i < 4; ++i) mc.on_task_executed(mc.stage("ASR"), rec, i == 0);
   rec.container = static_cast<ContainerId>(2);
-  for (int i = 0; i < 2; ++i) mc.on_task_executed("ASR", rec);
-  mc.on_spawn_failure("ASR");
+  for (int i = 0; i < 2; ++i) mc.on_task_executed(mc.stage("ASR"), rec, i == 0);
+  mc.on_spawn_failure(mc.stage("ASR"));
   const auto r = mc.finish(1000.0, 500.0);
   const auto& sm = r.stages.at("ASR");
   EXPECT_EQ(sm.containers_spawned, 3u);
