@@ -1,14 +1,11 @@
-// §5.2 — simulator fidelity & capacity: google-benchmark throughput
-// measurements of the event engine and of full end-to-end experiments, to
-// document that the substrate comfortably covers the paper's 2500-core /
-// thousands-of-requests-per-second regime.
+// §5.2 — the event engine: a google-benchmark throughput measurement of the
+// simulator's event queue, scheduling and popping batches of no-op events.
+// Whole-experiment simulator throughput at the paper's §5.2 scale is
+// perfbench's `sim_requests_per_s` (perfbench/run.py), not measured here.
 
 #include <benchmark/benchmark.h>
 
-#include "core/framework.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/simulation.hpp"
-#include "workload/generators.hpp"
 
 namespace {
 
@@ -25,39 +22,6 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_EventQueueScheduleAndPop)->Arg(1000)->Arg(100000);
-
-void BM_SimulationSelfScheduling(benchmark::State& state) {
-  for (auto _ : state) {
-    fifer::Simulation sim;
-    int count = 0;
-    sim.every(1.0, [&count](fifer::SimTime) { ++count; });
-    sim.run_until(100000.0);
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100000);
-}
-BENCHMARK(BM_SimulationSelfScheduling);
-
-/// End-to-end experiment throughput: jobs simulated per wall second, under
-/// the full Fifer policy.
-void BM_FullExperiment(benchmark::State& state) {
-  const double lambda = static_cast<double>(state.range(0));
-  std::uint64_t jobs = 0;
-  for (auto _ : state) {
-    fifer::ExperimentParams p;
-    p.rm = fifer::RmConfig::fifer();
-    p.mix = fifer::WorkloadMix::heavy();
-    p.trace = fifer::poisson_trace(60.0, lambda);
-    p.seed = 1;
-    p.train.epochs = 3;
-    const auto r = fifer::run_experiment(std::move(p));
-    jobs += r.jobs_completed;
-  }
-  state.counters["jobs_per_run"] =
-      static_cast<double>(jobs) / static_cast<double>(state.iterations());
-  state.SetItemsProcessed(static_cast<std::int64_t>(jobs));
-}
-BENCHMARK(BM_FullExperiment)->Arg(10)->Arg(50)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "runtime/live_runtime.hpp"
+#include "core/framework.hpp"
 
 int main(int argc, char** argv) {
   const fifer::Config cfg = fifer::Config::from_args(argc, argv);

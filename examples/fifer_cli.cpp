@@ -16,7 +16,7 @@
 //   fifer_cli policy=fifer --live trace=poisson duration_s=120
 //                                          # live mode at the default 100x
 //   fifer_cli policy=fifer --live=50       # live mode, 50x compression
-//   fifer_cli policy=fifer --serve=7411 trace=poisson duration_s=60
+//   fifer_cli policy=fifer --serve=7411 trace=poisson duration_s=60 warmup_s=10
 //                                          # TCP serving mode: live runtime
 //                                          # fed by network requests
 //   fifer_cli --loadgen=127.0.0.1:7411 trace=poisson duration_s=60 seed=1
@@ -33,7 +33,7 @@
 //   --trace PREFIX / trace_out=PREFIX []
 //                         per-request tracing: exports PREFIX.trace.json
 //                         (chrome://tracing / Perfetto), PREFIX.spans.csv,
-//                         PREFIX.decisions.csv; single-policy sim runs add
+//                         PREFIX.decisions.csv; single-policy runs add
 //                         PREFIX.profile.csv. (Not to be confused with
 //                         trace=, the arrival-trace kind.)
 //   --live[=SCALE] / live=SCALE []
@@ -42,8 +42,10 @@
 //                         (default 100: 1 wall s = 100 trace s). Multi-
 //                         policy lists run live sequentially. See
 //                         EXPERIMENTS.md "Live mode".
-//   max_wall_s [derived]  hard wall-clock budget for a live run (serving
-//                         mode: total wall budget, default 60 s)
+//   max_wall_s [none]     hard wall-clock budget for a live run; without
+//                         one a replay stops at the simulated hard
+//                         deadline, trace end + 10 min (serving mode:
+//                         total wall budget, default 60 s)
 //   serve_clients [1]     serving mode: FIN frames to wait for before drain
 //   serve_check [true]    serving mode: verify admitted requests against the
 //                         seed's arrival plan (plan-mismatch counter)
@@ -66,7 +68,7 @@
 //
 // Unknown or malformed flags fail fast: usage on stderr, exit status 2.
 
-#include <cmath>
+#include <algorithm>
 #include <cstring>
 #include <exception>
 #include <iostream>
@@ -85,7 +87,7 @@
 #include "net/loadgen.hpp"
 #include "net/serve_session.hpp"
 #include "runtime/gateway.hpp"
-#include "runtime/live_runtime.hpp"
+#include "core/framework.hpp"
 #include "workload/analysis.hpp"
 #include "workload/generators.hpp"
 
@@ -197,6 +199,22 @@ void print_result_table(const fifer::ExperimentResult& r, std::ostream& out) {
   t.add_row({"bus transitions", std::to_string(r.bus_transitions)});
   t.add_row({"predictor retrains", std::to_string(r.predictor_retrains)});
   t.print(out);
+}
+
+/// True when `r` measured something: a job completed past the warm-up. A
+/// run that measured nothing has no SLO rate (the table prints n/a); the
+/// CLI says so on stderr and exits non-zero.
+bool measured(const fifer::ExperimentResult& r) {
+  if (r.jobs_completed > 0) return true;
+  std::cerr << "error: " << r.policy
+            << " completed no job past the warm-up; nothing was measured\n";
+  return false;
+}
+
+bool all_measured(const std::vector<fifer::ExperimentResult>& results) {
+  bool ok = true;
+  for (const auto& r : results) ok = measured(r) && ok;
+  return ok;
 }
 
 /// "p50 / p99 / max" of a live-run lag, or "n/a" when nothing was sampled.
@@ -415,10 +433,8 @@ int run_cli(int argc, char** argv) {
     nt.add_row({"rejected (bad version)",
                 std::to_string(report.rejected_bad_version)});
     nt.add_row({"plan mismatches", std::to_string(report.plan_mismatches)});
-    // NaN when no request was answered: there is no attainment to report.
-    nt.add_row({"SLO attainment %", std::isnan(report.slo_attainment_pct)
-                                        ? "n/a"
-                                        : fifer::fmt(report.slo_attainment_pct, 2)});
+    // n/a when no request was answered: there is no attainment to report.
+    nt.add_row({"SLO attainment %", fifer::fmt(report.slo_attainment_pct, 2)});
     nt.add_row({"server RTT p50 ms", fifer::fmt(report.rtt_p50_ms, 2)});
     nt.add_row({"server RTT p95 ms", fifer::fmt(report.rtt_p95_ms, 2)});
     nt.add_row({"server RTT p99 ms", fifer::fmt(report.rtt_p99_ms, 2)});
@@ -434,7 +450,7 @@ int run_cli(int argc, char** argv) {
       for (const auto& path : paths) std::cout << "\n  " << path;
       std::cout << "\n";
     }
-    return report.live.drained ? 0 : 1;
+    return measured(report.live.result) && report.live.drained ? 0 : 1;
   }
 
   // Live multi-policy mode: the live runtime owns the machine's threads, so
@@ -457,7 +473,7 @@ int run_cli(int argc, char** argv) {
     const std::string title = "live policy comparison — " + p.mix.name() +
                               " mix on " + p.trace_name;
     fifer::PolicySweep::comparison_table(results, title).print(std::cout);
-    return 0;
+    return all_measured(results) ? 0 : 1;
   }
 
   // Multi-policy simulation: fan the comparison out over the parallel sweep
@@ -478,7 +494,7 @@ int run_cli(int argc, char** argv) {
     }
     const auto results = sweep.jobs(jobs).run();
     fifer::PolicySweep::comparison_table(results, title).print(std::cout);
-    return 0;
+    return all_measured(results) ? 0 : 1;
   }
 
   const std::string trace_prefix = p.trace_prefix;
@@ -515,9 +531,9 @@ int run_cli(int argc, char** argv) {
       std::cout << "\ntrace written:\n  " << trace_prefix << ".trace.json"
                 << "  (open in chrome://tracing or ui.perfetto.dev)\n  "
                 << trace_prefix << ".spans.csv\n  " << trace_prefix
-                << ".decisions.csv\n";
+                << ".decisions.csv\n  " << trace_prefix << ".profile.csv\n";
     }
-    return report.drained ? 0 : 1;
+    return measured(report.result) && report.drained ? 0 : 1;
   }
 
   std::cout << "running " << p.rm.name << " / " << p.mix.name() << " on "
@@ -539,7 +555,7 @@ int run_cli(int argc, char** argv) {
               << trace_prefix << ".spans.csv\n  " << trace_prefix
               << ".decisions.csv\n  " << trace_prefix << ".profile.csv\n";
   }
-  return 0;
+  return measured(r) ? 0 : 1;
 }
 
 }  // namespace

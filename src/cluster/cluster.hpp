@@ -71,6 +71,8 @@ class Cluster {
   /// Total energy consumed since construction, through the last
   /// advance_energy() call.
   double energy_joules() const { return energy_joules_; }
+  /// The instant energy is integrated up to.
+  SimTime energy_watermark() const { return energy_watermark_; }
 
   /// Attaches a hot-path profiler: each `allocate` (the bin-pack / spread
   /// node scan, paper §4.4.2) is timed under the "cluster.allocate" scope.

@@ -91,7 +91,8 @@ namespace fifer::sync {
 namespace lock_rank {
 /// Participates in graph cycle detection only, not the rank check.
 inline constexpr int kUnranked = -1;
-/// LiveRuntime::mu_ — the single decision-state lock; taken first.
+/// Driver::mu_ (core/framework.hpp) — the single decision-state lock;
+/// taken first.
 inline constexpr int kRuntimeState = 10;
 /// Leaves under the runtime state lock: the serving front-end's respond
 /// channel.

@@ -1,6 +1,7 @@
 #include "common/table.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -8,6 +9,7 @@
 namespace fifer {
 
 std::string fmt(double v, int precision) {
+  if (std::isnan(v)) return "n/a";
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << v;
   return os.str();

@@ -31,7 +31,8 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Formats a double with fixed precision (helper shared by benches).
+/// Formats a double with fixed precision (helper shared by benches); an
+/// undefined value (NaN) reads "n/a".
 std::string fmt(double v, int precision = 2);
 
 }  // namespace fifer

@@ -3,13 +3,13 @@
 #include <cstdint>
 
 #include "common/types.hpp"
-#include "runtime/clock.hpp"
+#include "sim/clock.hpp"
 
-/// The live runtime's external-ingestion seam (DESIGN.md §5h): arrivals may
-/// come from outside the process — the socket layer in `src/net/` — instead
-/// of (not in place of; trace replay stays byte-identical) the runtime's
-/// pre-planned pump. The runtime layer defines only these interfaces; it
-/// never includes net headers, so sim-only builds and tests keep their
+/// The external-ingestion seam of a wall-clock run (DESIGN.md §5h): arrivals
+/// may come from outside the process — the socket layer in `src/net/` —
+/// instead of (not in place of; trace replay stays byte-identical) the
+/// driver's pre-planned pump. The core layer defines only these interfaces;
+/// it never includes net headers, so sim-only builds and tests keep their
 /// dependency surface.
 namespace fifer {
 
@@ -33,8 +33,9 @@ struct ExternalRequest {
   std::uint64_t conn_id = 0;
 };
 
-/// The admission interface the runtime exposes to an external source.
-/// Implemented by LiveRuntime; thread-safe (takes the runtime state lock),
+/// The admission interface the driver exposes to an external source.
+/// Implemented by the driver (core/framework.hpp), open only under the
+/// scaled wall clock; thread-safe (takes the runtime state lock),
 /// so the source's I/O thread calls it directly — holding no source-side
 /// lock, per the §5f rank hierarchy (runtime state is rank kRuntimeState,
 /// below every net-layer leaf lock).
@@ -64,13 +65,13 @@ struct ExternalCompletion {
   bool violated_slo = false;
 };
 
-/// What the live runtime drives when `LiveOptions::external_source` is set. One
-/// source instance serves one run.
+/// What a wall-clock run serves when `LiveOptions::external_source` is set.
+/// One source instance serves one run.
 class ExternalArrivalSource {
  public:
   virtual ~ExternalArrivalSource() = default;
 
-  /// The runtime is accepting: workers are released, the clock is anchored.
+  /// The run is accepting: the clock is anchored and the gate is open.
   /// Called once, on the run's thread, before the drain loop starts. The
   /// gate and clock outlive the run.
   virtual void start(ExternalGate& gate, const LiveClock& clock) = 0;
@@ -81,12 +82,15 @@ class ExternalArrivalSource {
   virtual void on_completion(const ExternalCompletion& done) = 0;
 
   /// Drain predicate: true once the source expects no further submissions
-  /// (e.g. every client sent its FIN). Polled off-lock by the run loop; pair
-  /// state changes with `ExternalGate::wake()`.
+  /// (e.g. every client sent its FIN). Read by the run loop at each drain
+  /// check — the start of the run, a wake(), the last in-flight completion,
+  /// and every 10 simulated s — with the runtime state lock held, so, like
+  /// on_completion, it may take leaf locks only. Pair state changes with
+  /// `ExternalGate::wake()`.
   virtual bool finished() = 0;
 
   /// The run is over (drain or hard deadline): stop submitting. Called once
-  /// on the run's thread before worker teardown; submissions racing this
+  /// on the run's thread before teardown; submissions racing this
   /// call get Admit::kDraining.
   virtual void stop() = 0;
 };

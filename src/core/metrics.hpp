@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -84,10 +85,12 @@ struct ExperimentResult {
   std::map<std::string, StageMetrics> stages;
   std::vector<TimelineSample> timeline;
 
+  /// Undefined (NaN) when no job completed past the warm-up: a run that
+  /// measured nothing has no violation rate, not a perfect one.
   double slo_violation_pct() const {
     return jobs_completed > 0 ? 100.0 * static_cast<double>(slo_violations) /
                                     static_cast<double>(jobs_completed)
-                              : 0.0;
+                              : std::numeric_limits<double>::quiet_NaN();
   }
 
   /// Mean requests-per-container across stages (unweighted, as in Fig 12a).

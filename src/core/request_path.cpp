@@ -89,7 +89,10 @@ void RequestPath::install() {
 }
 
 ExperimentResult RequestPath::finish(SimTime end) {
-  cluster_.advance_energy(end);
+  // Under the wall clock a step due at or before `end` runs at its clock
+  // reading, which may lie a little past `end`; energy then counts up to
+  // that last step. In the simulator no step runs past `end`.
+  cluster_.advance_energy(std::max(end, cluster_.energy_watermark()));
   ExperimentResult result = metrics_.finish(end, cluster_.energy_joules());
   result.policy = params_.rm.name;
   result.mix = params_.mix.name();

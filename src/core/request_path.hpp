@@ -37,9 +37,9 @@ Rng split_arrival_stream(Rng& run_rng);
 std::vector<Arrival> draw_arrival_plan(const ExperimentParams& params, Rng arrival_rng);
 
 /// What differs between running the request path in simulated time and in
-/// wall-clock time: the clock and its timers. The simulator implements it on
-/// its event queue (FiferFramework); live mode on the same event queue, fired
-/// when a scaled wall clock reaches each event (LiveRuntime).
+/// wall-clock time: the clock and its timers. The one driver
+/// (core/framework.hpp) implements it on its event queue, under a virtual
+/// clock in the simulator and a scaled wall clock in live mode.
 ///
 /// RequestPath calls every method from inside one *step* of the run — an
 /// event, or a live gate submission — and each step must run alone, as on
@@ -77,12 +77,12 @@ class Pacer {
 /// once, and the task's finish is an event at its sampled service time. The
 /// clock and the timers come from a Pacer.
 ///
-/// A driver runs one experiment in this order (both drivers do):
+/// The driver runs one experiment in this order, under either clock:
 ///
 ///   start();                      // offline: B_size log, pre-training
 ///   plan = plan_arrivals();       // replays: schedule submit_job(plan[i])
 ///   install();                    // scaler ticks, then housekeeping
-///   ...pace steps until in_flight() == 0 past the trace end...
+///   ...fire events until the drain rule ends the run...
 ///   ExperimentResult r = finish(end);
 class RequestPath : public PolicyContext {
  public:

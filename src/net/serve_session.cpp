@@ -234,7 +234,7 @@ ServeRunReport serve_live(const ExperimentParams& params, LiveOptions live_opts,
 
   live_opts.external_source = &source;
   {
-    LiveRuntime rt(params, live_opts);
+    Driver<ScaledWallClock> rt(params, live_opts);
     report.live = rt.run();
     // Flush + close every connection while the runtime (and its gate) are
     // still alive: a straggler frame racing shutdown hits a draining gate,

@@ -7,7 +7,7 @@
 
 #include "core/experiment_params.hpp"
 #include "net/server.hpp"
-#include "runtime/live_runtime.hpp"
+#include "core/framework.hpp"
 #include "workload/arrival.hpp"
 
 namespace fifer::net {

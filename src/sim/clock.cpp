@@ -1,4 +1,4 @@
-#include "runtime/clock.hpp"
+#include "sim/clock.hpp"
 
 #include <algorithm>
 

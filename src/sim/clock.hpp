@@ -6,9 +6,10 @@
 
 namespace fifer {
 
-/// Wall-clock time source for the live runtime, with time compression.
+/// Wall-clock time source of live runs, with time compression: the time
+/// source of the driver's scaled wall clock (core/framework.hpp).
 ///
-/// The simulator and the live executor share one time axis — simulated
+/// The simulator and live mode share one time axis — simulated
 /// milliseconds (`SimTime`) — so the same `PolicyEngine` strategies, SLOs,
 /// and monitoring cadences run unchanged in either mode. The live clock maps
 /// that axis onto `std::chrono::steady_clock` through a compression factor:
@@ -22,7 +23,7 @@ namespace fifer {
 /// experiment's simulated timeline.
 ///
 /// Thread-safety: deliberately lock-free and unannotated. The anchor is
-/// configuration written exactly once by `LiveRuntime::run` before any
+/// configuration written exactly once by the driver's `run()` before any
 /// other thread reads the clock (the serving front-end's I/O thread starts
 /// after `start()`), and every later access is a read — the one shape of
 /// shared state the annotation contract of common/sync.hpp exempts. TSan

@@ -8,79 +8,26 @@
 
 namespace fifer {
 
-namespace {
-
-constexpr std::uint64_t encode_id(std::uint32_t gen, std::uint32_t slot) {
-  return (static_cast<std::uint64_t>(gen) << 32) | slot;
-}
-
-}  // namespace
-
-std::uint32_t EventQueue::acquire_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  const auto slot = static_cast<std::uint32_t>(slots_.size());
-  slots_.push_back(Slot{});
-  return slot;
-}
-
-void EventQueue::release_slot(std::uint32_t slot) const {
-  // Bumping the generation here (at physical removal) staleness-checks both
-  // directions: cancel-after-fire fails the gen match, and an id from a
-  // previous tenancy of the slot cannot cancel the next one.
-  ++slots_[slot].gen;
-  slots_[slot].live = false;
-  slots_[slot].callback = Callback{};  // drop any captured state now
-  free_slots_.push_back(slot);
-}
-
-EventId EventQueue::schedule(SimTime at, Callback cb) {
+void EventQueue::schedule(SimTime at, Callback cb) {
   if (at < watermark_) {
     throw std::logic_error("EventQueue: scheduling into the past");
   }
-  const std::uint64_t seq = next_seq_++;
-  const std::uint32_t slot = acquire_slot();
-  slots_[slot].live = true;
-  slots_[slot].callback = std::move(cb);
-  heap_.push_back(Entry{at, seq, slot});
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(callbacks_.size());
+    callbacks_.push_back(std::move(cb));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    callbacks_[slot] = std::move(cb);
+  }
+  heap_.push_back(Entry{at, next_seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  ++live_count_;
-  // Bookkeeping invariant: every live event has exactly one heap entry.
-  FIFER_DCHECK_LE(live_count_, heap_.size(), kSim);
-  return static_cast<EventId>(encode_id(slots_[slot].gen, slot));
-}
-
-bool EventQueue::cancel(EventId id) {
-  const auto raw = static_cast<std::uint64_t>(id);
-  const auto slot = static_cast<std::uint32_t>(raw & 0xffffffffu);
-  const auto gen = static_cast<std::uint32_t>(raw >> 32);
-  if (slot >= slots_.size() || !slots_[slot].live || slots_[slot].gen != gen) {
-    return false;
-  }
-  slots_[slot].live = false;
-  FIFER_DCHECK_GT(live_count_, 0u, kSim);
-  --live_count_;
-  return true;
-}
-
-void EventQueue::drop_cancelled() const {
-  while (!heap_.empty() && !slots_[heap_.front().slot].live) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    release_slot(heap_.back().slot);
-    heap_.pop_back();
-  }
-}
-
-SimTime EventQueue::next_time() const {
-  drop_cancelled();
-  return heap_.empty() ? kNeverTime : heap_.front().time;
+  // Bookkeeping invariant: every slot is either pending in the heap or free.
+  FIFER_DCHECK_EQ(heap_.size() + free_slots_.size(), callbacks_.size(), kSim);
 }
 
 EventQueue::Fired EventQueue::pop() {
-  drop_cancelled();
   if (heap_.empty()) {
     throw std::logic_error("EventQueue: pop on empty queue");
   }
@@ -90,10 +37,10 @@ EventQueue::Fired EventQueue::pop() {
   // Causality: events fire in non-decreasing time order, so the watermark
   // (time of the last popped event) never runs backwards.
   FIFER_DCHECK_GE(entry.time, watermark_, kSim);
-  FIFER_DCHECK(slots_[entry.slot].live, kSim) << "popped a cancelled entry";
-  Callback cb = std::move(slots_[entry.slot].callback);
-  release_slot(entry.slot);
-  --live_count_;
+  // Moving the callback out leaves the slot empty: its capture fires (and
+  // dies) with the returned event, never with a later tenant of the slot.
+  Callback cb = std::move(callbacks_[entry.slot]);
+  free_slots_.push_back(entry.slot);
   watermark_ = entry.time;
   return Fired{entry.time, std::move(cb)};
 }

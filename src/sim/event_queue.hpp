@@ -8,17 +8,13 @@
 
 namespace fifer {
 
-/// Handle returned by EventQueue::schedule, usable to cancel the event.
-/// Encodes (slot generation << 32 | slot index); opaque to callers.
-enum class EventId : std::uint64_t {};
-
 /// Time-ordered event queue at the heart of the discrete-event simulator.
 ///
 /// Ordering is (time, sequence): events at equal simulated times fire in the
 /// order they were scheduled, making runs deterministic regardless of heap
-/// internals. Cancellation is O(1) — the event's slot is marked dead and its
-/// generation bumped; the heap entry is skipped lazily at pop time — which
-/// keeps schedule/cancel cheap without heap surgery.
+/// internals. An event, once scheduled, fires: there is no cancellation. A
+/// step that must void a pending event can carry an epoch in its capture and
+/// compare it when it fires.
 ///
 /// Callbacks live **inline in the slot table** (InlineFunction): no heap
 /// allocation per event (slots are recycled through a freelist), and the
@@ -38,17 +34,13 @@ class EventQueue {
   /// Schedules `cb` to fire at absolute simulated time `at`.
   /// `at` must be >= the time of the last popped event (no scheduling into
   /// the past); violations throw std::logic_error.
-  EventId schedule(SimTime at, Callback cb);
+  void schedule(SimTime at, Callback cb);
 
-  /// Cancels a pending event. Returns false if it already fired or was
-  /// already cancelled.
-  bool cancel(EventId id);
-
-  bool empty() const { return live_count_ == 0; }
-  std::size_t size() const { return live_count_; }
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
 
   /// Time of the earliest pending event; kNeverTime when empty.
-  SimTime next_time() const;
+  SimTime next_time() const { return heap_.empty() ? kNeverTime : heap_.front().time; }
 
   /// Pops and returns the earliest event. Precondition: !empty().
   struct Fired {
@@ -74,27 +66,15 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
-  /// Per-slot state: the event's callback (parked here so heap sifts never
-  /// move it) plus cancellation bookkeeping. A slot has exactly one
-  /// outstanding heap entry; its generation is bumped when that entry is
-  /// physically removed (fired or reaped after cancel), so stale EventIds
-  /// can never cancel a later event reusing the slot.
-  struct Slot {
-    Callback callback;
-    std::uint32_t gen = 0;
-    bool live = false;
-  };
 
-  void drop_cancelled() const;
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t slot) const;
-
-  // `mutable`: next_time() lazily reaps cancelled entries, as before.
-  mutable std::vector<Entry> heap_;
-  mutable std::vector<Slot> slots_;
-  mutable std::vector<std::uint32_t> free_slots_;
+  /// The pending events, a binary heap in (time, seq) order. Each entry
+  /// owns one slot of `callbacks_` until it pops.
+  std::vector<Entry> heap_;
+  /// Callbacks parked by slot so heap sifts never move them; a popped
+  /// event's slot goes back on `free_slots_`.
+  std::vector<Callback> callbacks_;
+  std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 0;
-  std::size_t live_count_ = 0;
   SimTime watermark_ = 0.0;
 };
 

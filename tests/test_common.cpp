@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -394,6 +395,11 @@ TEST(Table, RendersHeadersAndRows) {
 TEST(Table, FmtPrecision) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(2.0, 0), "2");
+}
+
+TEST(Table, FmtShowsAnUndefinedValueAsNa) {
+  EXPECT_EQ(fmt(std::numeric_limits<double>::quiet_NaN(), 2), "n/a");
+  EXPECT_EQ(fmt(100.0 - std::numeric_limits<double>::quiet_NaN(), 2), "n/a");
 }
 
 TEST(Table, EmptyTablePrintsNothing) {

@@ -203,17 +203,6 @@ TEST_F(ContractsTest, DivergentTrainingLossTripsPredictContract) {
 
 // -------------------------------------------------- event queue edge cases
 
-TEST(EventQueueEdge, CancelAfterFireReturnsFalse) {
-  EventQueue q;
-  bool fired = false;
-  const EventId id = q.schedule(1.0, [&fired] { fired = true; });
-  auto ev = q.pop();
-  ev.callback();
-  EXPECT_TRUE(fired);
-  EXPECT_FALSE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));  // idempotent: still false
-}
-
 TEST(EventQueueEdge, EqualTimeEventsFireInScheduleOrder) {
   EventQueue q;
   std::vector<int> order;
@@ -236,17 +225,16 @@ TEST(EventQueueEdge, SchedulingIntoThePastIsRejected) {
   q.schedule(10.0, [] {});  // exactly at the watermark is allowed
 }
 
-TEST(EventQueueEdge, CancelledEventNeverFiresAndSizeTracksLiveEvents) {
+TEST(EventQueueEdge, SizeTracksPendingEvents) {
   EventQueue q;
-  bool fired = false;
-  const EventId doomed = q.schedule(1.0, [&fired] { fired = true; });
+  q.schedule(1.0, [] {});
   q.schedule(2.0, [] {});
   EXPECT_EQ(q.size(), 2u);
-  EXPECT_TRUE(q.cancel(doomed));
-  EXPECT_EQ(q.size(), 1u);
   auto ev = q.pop();
-  EXPECT_EQ(ev.time, 2.0);  // the cancelled 1.0 event was skipped
-  EXPECT_FALSE(fired);
+  EXPECT_EQ(ev.time, 1.0);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), 2.0);
+  q.pop();
   EXPECT_TRUE(q.empty());
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -117,6 +118,19 @@ TEST(Report, JsonCarriesHeadlineMetrics) {
   EXPECT_NE(out.find("\"jobs_completed\""), std::string::npos);
   EXPECT_NE(out.find("\"stages\""), std::string::npos);
   EXPECT_NE(out.find("\"IMC\""), std::string::npos);  // light mix stage
+}
+
+// A run that measured nothing (the warm-up outlasts the trace) has no SLO
+// violation rate: it is NaN, and the JSON summary writes it as null.
+TEST(Report, RunThatMeasuredNothingHasNoSloRate) {
+  ExperimentParams p = small_run(RmConfig::rscale());
+  p.trace = poisson_trace(5.0, 5.0);
+  p.warmup_ms = seconds(10.0);
+  const auto r = run_experiment(std::move(p));
+  ASSERT_EQ(r.jobs_completed, 0u);
+  EXPECT_TRUE(std::isnan(r.slo_violation_pct()));
+  const std::string out = result_to_json(r).dump();
+  EXPECT_NE(out.find("\"slo_violation_pct\":null"), std::string::npos) << out;
 }
 
 TEST(Report, WritesAllThreeFiles) {

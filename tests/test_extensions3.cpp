@@ -109,6 +109,23 @@ TEST(Sweep, ComparisonTableNormalizesToFirst) {
   EXPECT_EQ(t.rows(), 2u);
 }
 
+// A grid cell that measured nothing shows an undefined SLO column, not a
+// perfect one.
+TEST(Sweep, ComparisonTableShowsAnUnmeasuredSloAsNa) {
+  ExperimentParams base;
+  base.mix = WorkloadMix::light();
+  base.trace = poisson_trace(5.0, 4.0);
+  base.warmup_ms = seconds(10.0);
+  base.seed = 3;
+  const auto results = GridSweep(base).add(RmConfig::rscale()).run();
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_EQ(results[0].jobs_completed, 0u);
+  std::ostringstream os;
+  PolicySweep::comparison_table(results, "test").print(os);
+  EXPECT_NE(os.str().find("n/a"), std::string::npos) << os.str();
+  EXPECT_EQ(os.str().find("100.00"), std::string::npos) << os.str();
+}
+
 // ----------------------------------------------------------- trace algebra
 
 TEST(TraceAlgebra, ResampleConservesExpectedArrivals) {

@@ -1,4 +1,4 @@
-// Integration tests: whole experiments through FiferFramework, checking
+// Integration tests: whole experiments through the simulator driver, checking
 // conservation laws, determinism, and the paper's qualitative orderings.
 
 #include <gtest/gtest.h>
@@ -220,10 +220,10 @@ TEST(Framework, IdleContainersGetReaped) {
 
 TEST(Framework, IntrospectionSurfacesProfiles) {
   ExperimentParams p = base_params(RmConfig::fifer(), 10.0, 1.0);
-  FiferFramework fw(std::move(p));
-  EXPECT_EQ(fw.stages().size(), 7u);  // heavy mix touches 7 services
-  EXPECT_NO_THROW(fw.profiles().stage("ASR"));
-  EXPECT_EQ(fw.cluster().node_count(), 5u);
+  Driver<VirtualClock> fw(std::move(p));
+  EXPECT_EQ(fw.path().stages().size(), 7u);  // heavy mix touches 7 services
+  EXPECT_NO_THROW(fw.path().profiles().stage("ASR"));
+  EXPECT_EQ(fw.path().cluster().node_count(), 5u);
 }
 
 }  // namespace

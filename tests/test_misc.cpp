@@ -276,7 +276,7 @@ TEST(TraceLog, BadPathThrows) {
   ExperimentParams p;
   p.trace = poisson_trace(5.0, 1.0);
   p.trace_log_path = "/no/such/dir/log.jsonl";
-  EXPECT_THROW(FiferFramework{std::move(p)}, std::runtime_error);
+  EXPECT_THROW(Driver<VirtualClock>{std::move(p)}, std::runtime_error);
 }
 
 // ---------------------------------------------------- cross-seed property

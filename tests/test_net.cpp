@@ -25,7 +25,6 @@
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "runtime/gateway.hpp"
-#include "runtime/live_runtime.hpp"
 #include "workload/generators.hpp"
 
 // Timing-sensitive assertions are meaningless under sanitizer slowdown;

@@ -108,7 +108,8 @@ TEST(PolicyEngineFactory, HpaAssemblesUtilizationScaler) {
 }
 
 TEST(PolicyEngineFactory, FrameworkExposesAssembledEngine) {
-  FiferFramework fw(small_params(RmConfig::rscale()));
+  Driver<VirtualClock> driver(small_params(RmConfig::rscale()));
+  RequestPath& fw = driver.path();
   EXPECT_STREQ(fw.engine().scaler->name(), "reactive");
   EXPECT_STREQ(fw.engine().scheduler->name(), "lsf");
   EXPECT_STREQ(fw.engine().placer->name(), "bin-pack");
@@ -120,7 +121,8 @@ TEST(PolicyEngineFactory, FrameworkExposesAssembledEngine) {
 /// remaining slack at every stage, so the LSF key cannot order them — the
 /// queue's arrival-sequence tie-break must, deterministically.
 TEST(LsfSchedulerOrdering, EqualSlackPopsInArrivalOrder) {
-  FiferFramework fw(small_params(RmConfig::rscale()));
+  Driver<VirtualClock> driver(small_params(RmConfig::rscale()));
+  RequestPath& fw = driver.path();
   const LsfScheduler lsf;
   const ApplicationChain& app = fw.apps().at("IPA");
 
@@ -144,7 +146,8 @@ TEST(LsfSchedulerOrdering, EqualSlackPopsInArrivalOrder) {
 }
 
 TEST(LsfSchedulerOrdering, LessSlackBeatsArrivalOrder) {
-  FiferFramework fw(small_params(RmConfig::rscale()));
+  Driver<VirtualClock> driver(small_params(RmConfig::rscale()));
+  RequestPath& fw = driver.path();
   const LsfScheduler lsf;
   const ApplicationChain& app = fw.apps().at("IPA");
 

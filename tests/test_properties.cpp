@@ -142,27 +142,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep, testing::Values(1u, 2u, 3u, 42u, 1000
 TEST(EventQueueProperty, RandomOpsPreserveOrderAndCount) {
   Rng rng(404);
   EventQueue q;
-  std::multiset<double> pending;
-  std::vector<EventId> cancellable;
+  int scheduled = 0;
   double last_popped = 0.0;
   int executed = 0;
 
   for (int step = 0; step < 20000; ++step) {
-    const double roll = rng.uniform();
-    if (roll < 0.55 || q.empty()) {
+    if (rng.uniform() < 0.55 || q.empty()) {
       const double at = last_popped + rng.uniform(0.0, 100.0);
-      cancellable.push_back(q.schedule(at, [&executed] { ++executed; }));
-      pending.insert(at);
-    } else if (roll < 0.70 && !cancellable.empty()) {
-      const auto idx = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(cancellable.size()) - 1));
-      q.cancel(cancellable[idx]);  // may be a double-cancel; both fine
+      q.schedule(at, [&executed] { ++executed; });
+      ++scheduled;
     } else {
       auto f = q.pop();
       EXPECT_GE(f.time, last_popped);
       last_popped = f.time;
       f.callback();
     }
+    EXPECT_EQ(q.size(), static_cast<std::size_t>(scheduled - executed));
   }
   while (!q.empty()) {
     auto f = q.pop();
@@ -170,6 +165,7 @@ TEST(EventQueueProperty, RandomOpsPreserveOrderAndCount) {
     last_popped = f.time;
     f.callback();
   }
+  EXPECT_EQ(executed, scheduled);
   EXPECT_GT(executed, 1000);
 }
 

@@ -24,7 +24,6 @@
 #include "core/policy/scaler.hpp"
 #include "obs/recording_sink.hpp"
 #include "runtime/gateway.hpp"
-#include "runtime/live_runtime.hpp"
 #include "workload/generators.hpp"
 
 // Timing-sensitive assertions are meaningless under sanitizer slowdown;
@@ -123,6 +122,23 @@ TEST(LiveRuntime, ZeroArrivalTraceDrains) {
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.result.jobs_submitted, 0u);
   EXPECT_EQ(r.result.jobs_completed, 0u);
+}
+
+// The drain rule is the simulator's under either clock: a replay ends at
+// the first 10-s drain check at or past its trace end with nothing in
+// flight, and reports that instant. The trace is light and SBatch's pools
+// are warm long before it ends, so its last request completes seconds
+// before the check at 20 s.
+TEST(LiveRuntime, ReplayEndsOnItsSimulatorTwinsDrainCheck) {
+  ExperimentParams p = live_params(RmConfig::sbatch(), 11.0, 2.0);
+  const ExperimentResult sim = run_experiment(p);
+  LiveOptions o;
+  o.time_scale = 100.0;
+  const LiveRunReport live = run_live(std::move(p), o);
+  ASSERT_TRUE(live.drained);
+  EXPECT_DOUBLE_EQ(sim.duration_ms, seconds(20.0));
+  EXPECT_DOUBLE_EQ(live.result.duration_ms, sim.duration_ms);
+  EXPECT_DOUBLE_EQ(live.sim_duration_ms, sim.duration_ms);
 }
 
 // ---------------------------------------------------------- external gate

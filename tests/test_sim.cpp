@@ -1,11 +1,18 @@
-// Unit tests for the discrete-event engine (src/sim).
+// Unit tests for the discrete-event engine: the event queue (src/sim) and
+// the one driver's fire loop under the virtual clock (src/core/framework).
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "core/framework.hpp"
+#include "core/policy/scaler.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/simulation.hpp"
+#include "workload/generators.hpp"
 
 namespace fifer {
 namespace {
@@ -33,25 +40,6 @@ TEST(EventQueue, TiesFireInScheduleOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool fired = false;
-  const EventId id = q.schedule(1.0, [&] { fired = true; });
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));  // double-cancel reports false
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(fired);
-}
-
-TEST(EventQueue, NextTimeSkipsCancelled) {
-  EventQueue q;
-  const EventId early = q.schedule(1.0, [] {});
-  q.schedule(2.0, [] {});
-  q.cancel(early);
-  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
-  EXPECT_EQ(q.size(), 1u);
-}
-
 TEST(EventQueue, EmptyBehaviour) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
@@ -68,177 +56,185 @@ TEST(EventQueue, RejectsSchedulingIntoThePast) {
   EXPECT_NO_THROW(q.schedule(10.0, [] {}));  // same time is fine
 }
 
-TEST(EventQueue, CancelAfterFireReportsFalse) {
+TEST(EventQueue, FiredSlotsRecycleCorrectly) {
+  // Each round fires one event and schedules the next into its freed slot;
+  // a capture must fire exactly once and never leak into the slot's next
+  // tenant.
   EventQueue q;
-  const EventId id = q.schedule(1.0, [] {});
-  q.pop().callback();
-  EXPECT_FALSE(q.cancel(id));  // already fired; its slot is retired
-}
-
-TEST(EventQueue, StaleIdDoesNotCancelSlotReuse) {
-  // A fired/cancelled event's slot may be handed to a later event; the old
-  // EventId must not be able to kill the new tenant (generation check).
-  EventQueue q;
-  const EventId first = q.schedule(1.0, [] {});
-  EXPECT_TRUE(q.cancel(first));
-  q.schedule(2.0, [] {});
-  q.pop().callback();  // drops the cancelled entry en route, freeing slots
-  EXPECT_TRUE(q.empty());
-
-  // Both freed slots get reused; one new event re-occupies `first`'s slot.
-  int fired = 0;
-  q.schedule(3.0, [&fired] { ++fired; });
-  q.schedule(3.0, [&fired] { ++fired; });
-  EXPECT_FALSE(q.cancel(first));  // stale id: same slot, older generation
-  while (!q.empty()) q.pop().callback();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueue, SameTimestampFifoSurvivesInterleavedCancels) {
-  EventQueue q;
-  std::vector<int> order;
-  std::vector<EventId> ids;
-  ids.reserve(8);
-  for (int i = 0; i < 8; ++i) {
-    ids.push_back(q.schedule(5.0, [&order, i] { order.push_back(i); }));
-  }
-  q.cancel(ids[0]);
-  q.cancel(ids[3]);
-  q.cancel(ids[7]);
-  while (!q.empty()) q.pop().callback();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 5, 6}));
-}
-
-TEST(EventQueue, PopAfterAllCancelledThrows) {
-  EventQueue q;
-  const EventId a = q.schedule(1.0, [] {});
-  const EventId b = q.schedule(2.0, [] {});
-  q.cancel(a);
-  q.cancel(b);
-  EXPECT_TRUE(q.empty());  // live view is empty even with heap residue
-  EXPECT_EQ(q.next_time(), kNeverTime);
-  EXPECT_THROW(q.pop(), std::logic_error);
-}
-
-TEST(EventQueue, ManyCancelledSlotsRecycleCorrectly) {
-  // Churn schedule/cancel cycles through slot reuse several times; live
-  // events must keep firing exactly once each, in order.
-  EventQueue q;
-  int fired = 0;
+  auto fired = std::make_shared<int>(0);
   double t = 0.0;
+  q.schedule(t, [fired] { ++*fired; });
   for (int round = 0; round < 50; ++round) {
     t += 1.0;
-    const EventId doomed = q.schedule(t + 0.5, [] { FAIL(); });
-    q.schedule(t, [&fired] { ++fired; });
-    EXPECT_TRUE(q.cancel(doomed));
+    q.schedule(t, [fired] { ++*fired; });
     q.pop().callback();
+    EXPECT_EQ(q.size(), 1u);
   }
-  EXPECT_EQ(fired, 50);
+  q.pop().callback();
+  EXPECT_EQ(*fired, 51);
   EXPECT_TRUE(q.empty());
+  // Every popped capture is gone: only the test's reference is left.
+  EXPECT_EQ(fired.use_count(), 1);
+}
+
+// ------------------------------------------- the driver, virtual clock
+
+/// A scaler that only registers the periodic steps a test hands it, through
+/// the PolicyContext every policy sees.
+class TickScaler final : public Scaler {
+ public:
+  explicit TickScaler(std::function<void(PolicyContext&)> install)
+      : install_(std::move(install)) {}
+  const char* name() const override { return "ticks"; }
+  void install(PolicyContext& ctx) override { install_(ctx); }
+
+ private:
+  std::function<void(PolicyContext&)> install_;
+};
+
+/// A run of `duration_s` simulated seconds with no arrivals, whose scaler
+/// registers what `install` registers.
+ExperimentParams tick_params(double duration_s,
+                             std::function<void(PolicyContext&)> install) {
+  ExperimentParams p;
+  p.rm = RmConfig::rscale();
+  p.trace = poisson_trace(duration_s, 0.0);
+  p.policy_factory = [install = std::move(install)](ExperimentParams& params) {
+    PolicyEngine e = params.rm.assemble(params);
+    e.scaler = std::make_unique<TickScaler>(install);
+    return e;
+  };
+  return p;
 }
 
 TEST(Simulation, AtAndAfterAdvanceClock) {
-  Simulation sim;
-  std::vector<double> times;
-  sim.at(100.0, [&] { times.push_back(sim.now()); });
-  sim.after(50.0, [&] { times.push_back(sim.now()); });
-  sim.run_to_completion();
-  EXPECT_EQ(times, (std::vector<double>{50.0, 100.0}));
-  EXPECT_DOUBLE_EQ(sim.now(), 100.0);
-  EXPECT_EQ(sim.events_executed(), 2u);
+  // Every event reads its own time: a tick at its grid point, and an
+  // `after` step at the tick's time plus its delay.
+  Driver<VirtualClock>* driver = nullptr;
+  std::vector<SimTime> ticks;
+  std::vector<SimTime> afters;
+  auto p = tick_params(20.0, [&](PolicyContext& ctx) {
+    ctx.every(seconds(4.0), [&](SimTime now) {
+      ticks.push_back(now);
+      EXPECT_DOUBLE_EQ(driver->now(), now);
+      driver->after(50.0, [&] { afters.push_back(driver->now()); });
+    });
+  });
+  Driver<VirtualClock> d(std::move(p));
+  driver = &d;
+  const LiveRunReport r = d.run();
+  EXPECT_EQ(ticks, (std::vector<SimTime>{4000.0, 8000.0, 12000.0, 16000.0, 20000.0}));
+  EXPECT_EQ(afters, (std::vector<SimTime>{4050.0, 8050.0, 12050.0, 16050.0}));
+  EXPECT_EQ(r.timer_events, r.result.sim_events);
 }
 
 TEST(Simulation, NestedSchedulingWorks) {
-  Simulation sim;
-  std::vector<double> times;
-  sim.after(10.0, [&] {
-    times.push_back(sim.now());
-    sim.after(5.0, [&] { times.push_back(sim.now()); });
+  Driver<VirtualClock>* driver = nullptr;
+  std::vector<SimTime> times;
+  auto p = tick_params(10.0, [&](PolicyContext& ctx) {
+    ctx.every(seconds(4.0), [&](SimTime) {
+      driver->after(10.0, [&] {
+        times.push_back(driver->now());
+        driver->after(5.0, [&] { times.push_back(driver->now()); });
+      });
+    });
   });
-  sim.run_to_completion();
-  EXPECT_EQ(times, (std::vector<double>{10.0, 15.0}));
+  Driver<VirtualClock> d(std::move(p));
+  driver = &d;
+  d.run();
+  EXPECT_EQ(times, (std::vector<SimTime>{4010.0, 4015.0, 8010.0, 8015.0}));
 }
 
-TEST(Simulation, RunUntilStopsAtDeadlineAndAdvancesClock) {
-  Simulation sim;
-  int fired = 0;
-  sim.at(10.0, [&] { ++fired; });
-  sim.at(100.0, [&] { ++fired; });
-  sim.run_until(50.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(sim.now(), 50.0);  // clock moves to the deadline
-  sim.run_until(200.0);
-  EXPECT_EQ(fired, 2);
+TEST(Simulation, IdleGapJumpsToTheDrainCheck) {
+  // Nothing is due between 10 s and the trace end at 15 s: the clock
+  // jumps over the gap to the next drain check at 20 s, and the run ends
+  // there, not at its last event.
+  std::vector<SimTime> ticks;
+  auto p = tick_params(15.0, [&](PolicyContext& ctx) {
+    ctx.every(seconds(7.0), [&](SimTime now) { ticks.push_back(now); });
+  });
+  p.housekeeping_interval_ms = minutes(1.0);
+  const LiveRunReport r = Driver<VirtualClock>(std::move(p)).run();
+  EXPECT_EQ(ticks, (std::vector<SimTime>{7000.0, 14000.0}));
+  EXPECT_TRUE(r.drained);
+  EXPECT_DOUBLE_EQ(r.sim_duration_ms, 20000.0);
+  EXPECT_DOUBLE_EQ(r.result.duration_ms, 20000.0);
 }
 
 TEST(Simulation, EventAtDeadlineBoundaryFires) {
-  Simulation sim;
-  bool fired = false;
-  sim.at(50.0, [&] { fired = true; });
-  sim.run_until(50.0);
-  EXPECT_TRUE(fired);
+  // The trace ends at 10 s, so the run may end at the 10-s drain check; the
+  // step due exactly there fires first.
+  std::vector<SimTime> ticks;
+  auto p = tick_params(10.0, [&](PolicyContext& ctx) {
+    ctx.every(seconds(5.0), [&](SimTime now) { ticks.push_back(now); });
+  });
+  const ExperimentResult r = run_experiment(std::move(p));
+  EXPECT_EQ(ticks, (std::vector<SimTime>{5000.0, 10000.0}));
+  EXPECT_DOUBLE_EQ(r.duration_ms, 10000.0);
 }
 
 TEST(Simulation, EveryRepeats) {
-  Simulation sim;
-  int ticks = 0;
-  sim.every(10.0, [&](SimTime) { ++ticks; });
-  sim.run_until(55.0);
-  EXPECT_EQ(ticks, 5);  // t = 10, 20, 30, 40, 50
+  // Periodic steps repeat on their grid; same-time steps fire in the order
+  // they were registered.
+  std::vector<std::pair<int, SimTime>> fired;
+  auto p = tick_params(10.0, [&](PolicyContext& ctx) {
+    for (int k = 0; k < 3; ++k) {
+      ctx.every(seconds(2.5), [&fired, k](SimTime now) { fired.emplace_back(k, now); });
+    }
+  });
+  run_experiment(std::move(p));
+  ASSERT_EQ(fired.size(), 12u);  // t = 2.5, 5, 7.5, 10 s, three steps each
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    EXPECT_EQ(fired[i].first, static_cast<int>(i % 3)) << "step " << i;
+    EXPECT_DOUBLE_EQ(fired[i].second, 2500.0 * static_cast<double>(i / 3 + 1))
+        << "step " << i;
+  }
 }
 
 TEST(Simulation, EveryRejectsNonPositivePeriod) {
-  Simulation sim;
-  EXPECT_THROW(sim.every(0.0, [](SimTime) {}), std::invalid_argument);
-  EXPECT_THROW(sim.every(-5.0, [](SimTime) {}), std::invalid_argument);
-}
-
-TEST(Simulation, StopHaltsTheLoop) {
-  Simulation sim;
-  int fired = 0;
-  sim.at(1.0, [&] {
-    ++fired;
-    sim.stop();
-  });
-  sim.at(2.0, [&] { ++fired; });
-  sim.run_to_completion();
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.stopped());
-}
-
-TEST(Simulation, CancelScheduledEvent) {
-  Simulation sim;
-  bool fired = false;
-  const EventId id = sim.at(5.0, [&] { fired = true; });
-  EXPECT_TRUE(sim.cancel(id));
-  sim.run_to_completion();
-  EXPECT_FALSE(fired);
+  for (const SimDuration period : {0.0, -5.0}) {
+    auto p = tick_params(10.0, [period](PolicyContext& ctx) {
+      ctx.every(period, [](SimTime) {});
+    });
+    EXPECT_THROW(run_experiment(std::move(p)), std::invalid_argument) << period;
+  }
+  // The housekeeping period goes through the same check.
+  auto p = tick_params(10.0, [](PolicyContext&) {});
+  p.housekeeping_interval_ms = 0.0;
+  EXPECT_THROW(run_experiment(std::move(p)), std::invalid_argument);
 }
 
 TEST(Simulation, AfterClampsNegativeDelay) {
-  Simulation sim;
-  bool fired = false;
-  sim.after(-10.0, [&] { fired = true; });
-  sim.run_to_completion();
-  EXPECT_TRUE(fired);
-  EXPECT_DOUBLE_EQ(sim.now(), 0.0);
-}
-
-TEST(Simulation, RejectsPastAbsoluteTime) {
-  Simulation sim;
-  sim.at(10.0, [] {});
-  sim.run_to_completion();
-  EXPECT_THROW(sim.at(5.0, [] {}), std::logic_error);
+  // A negative delay runs now: the step fires at the tick's own time.
+  Driver<VirtualClock>* driver = nullptr;
+  std::vector<SimTime> times;
+  auto p = tick_params(10.0, [&](PolicyContext& ctx) {
+    ctx.every(seconds(3.0), [&](SimTime) {
+      driver->after(-10.0, [&] { times.push_back(driver->now()); });
+    });
+  });
+  Driver<VirtualClock> d(std::move(p));
+  driver = &d;
+  d.run();
+  EXPECT_EQ(times, (std::vector<SimTime>{3000.0, 6000.0, 9000.0}));
 }
 
 TEST(Simulation, ManyEventsExecuteExactlyOnce) {
-  Simulation sim;
+  Driver<VirtualClock>* driver = nullptr;
   int count = 0;
-  for (int i = 0; i < 10000; ++i) {
-    sim.at(static_cast<double>(i % 100), [&] { ++count; });
-  }
-  sim.run_to_completion();
+  auto p = tick_params(10.0, [&](PolicyContext& ctx) {
+    ctx.every(seconds(5.0), [&](SimTime now) {
+      if (now > seconds(5.0)) return;
+      for (int i = 0; i < 10000; ++i) {
+        driver->after(static_cast<double>(i % 100), [&count] { ++count; });
+      }
+    });
+  });
+  Driver<VirtualClock> d(std::move(p));
+  driver = &d;
+  const LiveRunReport r = d.run();
   EXPECT_EQ(count, 10000);
+  EXPECT_GT(r.result.sim_events, 10000u);
 }
 
 }  // namespace

@@ -10,16 +10,20 @@
 #                                               zero reports tolerated
 #                                               (-fno-sanitize-recover=all).
 #   leg 3  TSan, -Werror, DCHECKs ON          — the parallel sweep runner,
-#                                               the live-mode runtime, and
+#                                               the driver under the scaled
+#                                               wall clock (live mode), and
 #                                               the serving front-end must
 #                                               be race-free; runs the
 #                                               sweep-determinism, thread-
-#                                               pool, framework, live
-#                                               runtime, net, and sync/lock-
-#                                               order suites (TSan is ~10x,
-#                                               so not the full matrix) plus
-#                                               a cross-process loopback
-#                                               serve smoke.
+#                                               pool, framework, every
+#                                               wall-clock driver suite
+#                                               (LiveClock, LiveRuntime,
+#                                               LivePacing, ServeSession),
+#                                               net, and sync/lock-order
+#                                               suites (TSan is ~10x, so not
+#                                               the full matrix) plus a
+#                                               cross-process loopback serve
+#                                               smoke.
 #   leg 4  clang -Werror=thread-safety        — compile-time proof that every
 #                                               guarded field is accessed
 #                                               under its lock, plus a
@@ -172,7 +176,7 @@ cmake -B "$ROOT/build-ci-tsan" -S "$ROOT" \
   -DFIFER_SANITIZE=thread
 echo "==== [tsan] build"
 cmake --build "$ROOT/build-ci-tsan" -j "$JOBS"
-echo "==== [tsan] test (thread pool + parallel sweeps + framework + live runtime + net)"
+echo "==== [tsan] test (thread pool + parallel sweeps + framework + wall-clock driver + net)"
 ctest --test-dir "$ROOT/build-ci-tsan" --output-on-failure -j "$JOBS" \
   -R 'ThreadPool|ParallelForIndex|SweepParallel|GridSweep|Sweep\.|Framework\.|LiveClock|LivePacing|LiveRuntime|ArrivalPlan|Sync|Wire\.|Listener\.|Poller\.|Server\.|LoadGen\.|ServeSession'
 
