@@ -1,14 +1,17 @@
-// Serving front-end performance gate (DESIGN.md §5h):
+// Serving front-end performance gate and capacity probe (DESIGN.md §5h):
 //
-//  - a steady-state probe drives the accept→read→dispatch→respond loop of
-//    the epoll server over loopback with an echo handler and FAILS THE
-//    BENCH (non-zero exit) if the warmed-up cycle performs any heap
-//    allocation anywhere in the process (counting allocator below) — the
-//    Slab-recycled connection slots, inline frame buffers, and pre-reserved
-//    response staging exist exactly for this;
-//  - an end-to-end loopback run (serve_live + the built-in load generator,
-//    closed loop) reports achieved request throughput and RTT percentiles,
-//    and fails the bench when it answered no request at all;
+//  - a steady-state probe drives the accept→read→dispatch→respond→flush
+//    cycle of the epoll server over loopback with an echo handler, client
+//    and server on this one thread, and FAILS THE BENCH (non-zero exit) if
+//    the warmed-up cycle performs any heap allocation anywhere in the
+//    process (counting allocator below) — the Slab-recycled connection
+//    slots, inline frame buffers, and pre-reserved flush list exist exactly
+//    for this;
+//  - a capacity probe serves closed-loop load over loopback (serve_live +
+//    the built-in load generator) at 10^4x compression, where the server,
+//    not simulated service time, bounds the round trip. It reports the
+//    achieved requests/s and the client RTT p50/p99/p99.9, and fails the
+//    bench when the run did not drain or answered no request at all;
 //  - `json_out=<path>` emits the numbers machine-readably (BENCH_serve.json
 //    in the CI perf-smoke leg).
 
@@ -41,8 +44,8 @@
 //
 // Global operator new/delete overrides for this binary: every heap
 // allocation bumps one relaxed atomic (same pattern as bench_scale). The
-// probe below runs with only two live threads — this one and the server's
-// epoll thread — so a zero delta proves the serving hot path allocation-free.
+// probe below runs on this one thread, so a zero delta proves the serving
+// hot path allocation-free.
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
@@ -84,8 +87,8 @@ std::uint64_t allocs() {
 
 // -------------------------------------------------- zero-alloc probe
 
-/// Echoes every request from the epoll thread: the minimal dispatch target,
-/// so the probe measures the server machinery and nothing else.
+/// Echoes every request as it is read: the minimal dispatch target, so the
+/// probe measures the server machinery and nothing else.
 class EchoHandler : public ServerHandler {
  public:
   void attach(Server* s) { server_ = s; }
@@ -116,20 +119,6 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t n) {
   return true;
 }
 
-bool read_all(int fd, std::uint8_t* data, std::size_t n) {
-  std::size_t off = 0;
-  while (off < n) {
-    const ssize_t r = ::read(fd, data + off, n - off);
-    if (r == 0) return false;
-    if (r < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
 struct ProbeResult {
   std::uint64_t requests = 0;
   std::uint64_t allocations = 0;
@@ -139,8 +128,10 @@ struct ProbeResult {
 
 /// One warmed-up request/response ping-pong cycle over loopback, allocation
 /// counted across the whole process. Warmup settles the connection slot,
-/// epoll registration, and staging capacities; after it, `iters` cycles of
-/// read→parse→dispatch→respond→flush must allocate nothing.
+/// epoll registration, and flush-list capacity; after it, `iters` cycles of
+/// read→parse→dispatch→respond→flush must allocate nothing. The client
+/// polls the server until its response arrives: one poll() reads the
+/// request and queues the response, the next one writes it.
 ProbeResult steady_state_probe(std::uint64_t iters) {
   ProbeResult out;
   EchoHandler handler;
@@ -152,7 +143,6 @@ ProbeResult steady_state_probe(std::uint64_t iters) {
               << std::strerror(server.listen_errno()) << "\n";
     return out;
   }
-  server.start();
 
   Fd client = connect_to("127.0.0.1", server.port());
   if (!client) {
@@ -167,8 +157,19 @@ ProbeResult steady_state_probe(std::uint64_t iters) {
     wire::Request req;
     req.tag = tag;
     const std::size_t len = wire::encode_request(req, frame);
-    return write_all(client.get(), frame, len) &&
-           read_all(client.get(), resp, sizeof(resp));
+    if (!write_all(client.get(), frame, len)) return false;
+    std::size_t got = 0;
+    while (got < sizeof(resp)) {
+      server.poll(std::chrono::steady_clock::time_point{});
+      const ssize_t r = ::read(client.get(), resp + got, sizeof(resp) - got);
+      if (r == 0) return false;
+      if (r < 0) {
+        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
+        return false;
+      }
+      got += static_cast<std::size_t>(r);
+    }
+    return true;
   };
 
   bool ok = true;
@@ -190,7 +191,7 @@ ProbeResult steady_state_probe(std::uint64_t iters) {
   return out;
 }
 
-// ------------------------------------------------- loopback e2e throughput
+// ------------------------------------------------------- capacity probe
 
 struct E2eResult {
   std::uint64_t requests = 0;
@@ -308,14 +309,16 @@ int main(int argc, char** argv) {
   const auto probe_requests =
       static_cast<std::uint64_t>(cfg.get_int("probe_requests", 10000));
   const auto e2e_requests =
-      static_cast<std::uint64_t>(cfg.get_int("e2e_requests", 2000));
+      static_cast<std::uint64_t>(cfg.get_int("e2e_requests", 100000));
   const auto connections =
       static_cast<std::size_t>(cfg.get_int("conns", 4));
   const auto window = static_cast<std::size_t>(cfg.get_int("window", 8));
-  const double time_scale = cfg.get_double("time_scale", 100.0);
+  // At 10^4x a 1000 ms SLO is 0.1 wall ms: simulated service time no longer
+  // bounds the round trip, the server does.
+  const double time_scale = cfg.get_double("time_scale", 10000.0);
   // RTT samples from the first `warmup` responses are discarded so cold
   // connections / first-touch page-ins do not pollute the reported tail.
-  const auto warmup = static_cast<std::uint64_t>(cfg.get_int("warmup", 100));
+  const auto warmup = static_cast<std::uint64_t>(cfg.get_int("warmup", 2000));
   const std::string json_out = cfg.get_string("json_out", "");
 
   std::cout << "bench_serve: steady-state probe (" << probe_requests
@@ -325,9 +328,9 @@ int main(int argc, char** argv) {
             << "  wall s:      " << probe.wall_s << "\n"
             << "  allocations: " << probe.allocations << "\n";
 
-  std::cout << "bench_serve: loopback e2e (" << e2e_requests
+  std::cout << "bench_serve: capacity probe (" << e2e_requests
             << " closed-loop requests, " << connections << " conns, window "
-            << window << ")...\n";
+            << window << ", " << time_scale << "x)...\n";
   const E2eResult e2e =
       loopback_e2e(e2e_requests, connections, window, time_scale, warmup);
   std::cout << "  achieved req/s:           " << e2e.achieved_rps << "\n"
@@ -349,11 +352,11 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!e2e.drained || !e2e.completed) {
-    std::cerr << "bench_serve: FAIL — loopback e2e did not drain cleanly\n";
+    std::cerr << "bench_serve: FAIL — capacity probe did not drain cleanly\n";
     return 1;
   }
   if (e2e.responded == 0) {
-    std::cerr << "bench_serve: FAIL — loopback e2e answered no requests\n";
+    std::cerr << "bench_serve: FAIL — capacity probe answered no requests\n";
     return 1;
   }
   std::cout << "bench_serve: PASS — zero steady-state allocations\n";

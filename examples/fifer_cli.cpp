@@ -46,7 +46,9 @@
 //                         one a replay stops at the simulated hard
 //                         deadline, trace end + 10 min (serving mode:
 //                         total wall budget, default 60 s)
-//   serve_clients [1]     serving mode: FIN frames to wait for before drain
+//   serve_clients [1]     serving mode: clients to wait for before drain,
+//                         each ending with its FIN or lost without one
+//                         (a lost client makes the run exit 1)
 //   serve_check [true]    serving mode: verify admitted requests against the
 //                         seed's arrival plan (plan-mismatch counter)
 //   conns [4]             load generator: concurrent connections
@@ -425,6 +427,8 @@ int run_cli(int argc, char** argv) {
                 report.live.drained ? "yes" : "NO (wall budget hit)"});
     nt.add_row({"port", std::to_string(report.port)});
     nt.add_row({"connections accepted", std::to_string(report.net.accepted)});
+    nt.add_row({"connections lost (no FIN)",
+                std::to_string(report.lost_connections)});
     nt.add_row({"requests admitted", std::to_string(report.admitted)});
     nt.add_row({"responses sent", std::to_string(report.responded)});
     nt.add_row({"rejected (draining)", std::to_string(report.rejected_draining)});
@@ -449,6 +453,11 @@ int run_cli(int argc, char** argv) {
       std::cout << "\nreport written:";
       for (const auto& path : paths) std::cout << "\n  " << path;
       std::cout << "\n";
+    }
+    if (report.lost_connections > 0) {
+      std::cerr << "error: " << report.lost_connections
+                << " client(s) disconnected without a FIN\n";
+      return 1;
     }
     return measured(report.live.result) && report.live.drained ? 0 : 1;
   }

@@ -32,7 +32,6 @@ class Node {
   double memory_mb() const { return memory_mb_; }
 
   double allocated_cores() const { return allocated_cores_; }
-  double allocated_memory_mb() const { return allocated_memory_mb_; }
   double free_cores() const { return cores_ - allocated_cores_; }
   double free_memory_mb() const { return memory_mb_ - allocated_memory_mb_; }
   std::uint32_t container_count() const { return containers_; }

@@ -62,8 +62,8 @@ struct SlabHandle {
 /// order-preserving compaction pass, which is also what keeps bulk reaping
 /// O(n) instead of O(n²).
 ///
-/// Not thread-safe; callers serialize access exactly as they did for the
-/// container fleets this replaces (event loop / runtime state lock).
+/// Not thread-safe; one thread owns each slab (the event loop for fleets and
+/// connections).
 template <typename T>
 class Slab {
  public:

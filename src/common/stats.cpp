@@ -94,25 +94,6 @@ std::vector<std::pair<double, double>> Percentiles::cdf(std::size_t points) cons
   return out;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo) {
-  if (bins == 0 || hi <= lo) {
-    throw std::invalid_argument("Histogram requires bins > 0 and hi > lo");
-  }
-  width_ = (hi - lo) / static_cast<double>(bins);
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) {
-  auto idx = static_cast<std::int64_t>((x - lo_) / width_);
-  idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_center(std::size_t i) const {
-  return lo_ + (static_cast<double>(i) + 0.5) * width_;
-}
-
 P2Quantile::P2Quantile(double q) : q_(q) {
   if (q <= 0.0 || q >= 1.0) {
     throw std::invalid_argument("P2Quantile: q must be in (0, 1)");

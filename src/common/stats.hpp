@@ -74,28 +74,6 @@ class Percentiles {
   mutable bool sorted_ = true;
 };
 
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bin. Used for queuing-time distributions (Figure 10b).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  std::size_t bins() const { return counts_.size(); }
-  std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  /// Midpoint value represented by bin `i`.
-  double bin_center(std::size_t i) const;
-  double bin_width() const { return width_; }
-  std::uint64_t total() const { return total_; }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-};
-
 /// Constant-memory streaming quantile estimator (Jain & Chlamtac's P-square
 /// algorithm): five markers track one target quantile without retaining
 /// samples. Used where Percentiles' retain-everything policy is too heavy —

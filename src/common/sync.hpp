@@ -91,23 +91,16 @@ namespace fifer::sync {
 namespace lock_rank {
 /// Participates in graph cycle detection only, not the rank check.
 inline constexpr int kUnranked = -1;
-/// Driver::mu_ (core/framework.hpp) — the single decision-state lock;
-/// taken first.
-inline constexpr int kRuntimeState = 10;
-/// Leaves under the runtime state lock: the serving front-end's respond
-/// channel.
-inline constexpr int kRuntimeLeaf = 20;
-/// Tooling locks never nested with the runtime: thread-pool queue, sweep
-/// progress serialization, parallel-for first-error capture.
+/// Tooling locks: thread-pool queue, sweep progress serialization,
+/// parallel-for first-error capture.
 inline constexpr int kToolLeaf = 30;
 /// The contract fail handler — a violation may fire under any other lock.
 inline constexpr int kReport = 100;
 }  // namespace lock_rank
 
 /// One lock *role* (not one lock instance): all mutexes sharing a class are
-/// interchangeable for ordering purposes — e.g. every serving front-end's
-/// respond-channel lock is the same class. Instances must have static
-/// storage duration.
+/// interchangeable for ordering purposes — e.g. every thread pool's queue
+/// lock is the same class. Instances must have static storage duration.
 struct LockClass {
 #if FIFER_LOCK_ORDER_ENABLED
   LockClass(const char* name, int rank);

@@ -35,10 +35,7 @@ struct ExternalRequest {
 
 /// The admission interface the driver exposes to an external source.
 /// Implemented by the driver (core/framework.hpp), open only under the
-/// scaled wall clock; thread-safe (takes the runtime state lock),
-/// so the source's I/O thread calls it directly — holding no source-side
-/// lock, per the §5f rank hierarchy (runtime state is rank kRuntimeState,
-/// below every net-layer leaf lock).
+/// scaled wall clock, and called from the source's poll().
 class ExternalGate {
  public:
   enum class Admit {
@@ -50,10 +47,6 @@ class ExternalGate {
   virtual ~ExternalGate() = default;
 
   virtual Admit submit(const ExternalRequest& req) = 0;
-
-  /// Nudges the runtime's drain loop to re-evaluate its done predicate —
-  /// call after externally visible progress (e.g. the last client finished).
-  virtual void wake() = 0;
 };
 
 /// A completed external request: the original submission plus the runtime's
@@ -66,32 +59,36 @@ struct ExternalCompletion {
 };
 
 /// What a wall-clock run serves when `LiveOptions::external_source` is set.
-/// One source instance serves one run.
+/// One source instance serves one run. Every call comes from the run's loop
+/// thread.
 class ExternalArrivalSource {
  public:
   virtual ~ExternalArrivalSource() = default;
 
   /// The run is accepting: the clock is anchored and the gate is open.
-  /// Called once, on the run's thread, before the drain loop starts. The
-  /// gate and clock outlive the run.
+  /// Called once, before the loop starts. The gate and clock outlive the
+  /// run.
   virtual void start(ExternalGate& gate, const LiveClock& clock) = 0;
 
-  /// An admitted request completed. Called with the runtime state lock
-  /// held — implementations may take leaf locks (rank > kRuntimeState) but
-  /// must not call back into the gate.
+  /// Serves I/O until the wall instant `until`, submitting what arrives
+  /// through the gate. It may return earlier, once it served something, so
+  /// the loop fires what that scheduled without delay. The loop calls it
+  /// wherever it would otherwise sleep until its next event, and, while
+  /// events are overdue, with an `until` in the past, so the source never
+  /// blocks then.
+  virtual void poll(LiveClock::WallTime until) = 0;
+
+  /// An admitted request completed. Must not call back into the gate.
   virtual void on_completion(const ExternalCompletion& done) = 0;
 
   /// Drain predicate: true once the source expects no further submissions
-  /// (e.g. every client sent its FIN). Read by the run loop at each drain
-  /// check — the start of the run, a wake(), the last in-flight completion,
-  /// and every 10 simulated s — with the runtime state lock held, so, like
-  /// on_completion, it may take leaf locks only. Pair state changes with
-  /// `ExternalGate::wake()`.
+  /// (e.g. every client sent its FIN or was lost). Read by the loop before
+  /// every wait and at every 10-simulated-s drain check.
   virtual bool finished() = 0;
 
-  /// The run is over (drain or hard deadline): stop submitting. Called once
-  /// on the run's thread before teardown; submissions racing this
-  /// call get Admit::kDraining.
+  /// The run is over (drain or hard deadline): stop serving. Called once
+  /// after the gate closed and before teardown; a submission from here on
+  /// gets Admit::kDraining.
   virtual void stop() = 0;
 };
 

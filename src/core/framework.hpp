@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "common/sync.hpp"
 #include "core/experiment_params.hpp"
 #include "core/external_source.hpp"
 #include "core/metrics.hpp"
@@ -74,9 +73,8 @@ struct LiveRunReport {
   LagSummary admission_lag;
 };
 
-/// The simulator's clock: it jumps to the next event at once. Nothing waits,
-/// nothing is late, and nothing else runs, so the loop holds the state lock
-/// for the whole run and this clock has nothing to record.
+/// The simulator's clock: it jumps to the next event at once. Nothing waits
+/// and nothing is late, so this clock has nothing to record.
 class VirtualClock {
  public:
   static constexpr bool kWall = false;
@@ -88,14 +86,12 @@ class VirtualClock {
   void start() {}
   /// The loop moves on to `target`, the next event or drain check: the
   /// virtual clock jumps there.
-  SimTime advance(MutexLock&, SimTime target) { return reached_ = target; }
+  SimTime advance(SimTime target) { return reached_ = target; }
   /// The time the clock last jumped to.
   SimTime now() const { return reached_; }
   static constexpr bool expired(SimTime) { return false; }
   /// Never reached: under this clock something is always due.
-  void wait_until(MutexLock&, SimTime) {}
-  void scheduled(SimTime) {}
-  void notify() {}
+  void wait_until(SimTime) {}
   void on_fired(SimDuration) {}
   void on_admitted(SimDuration) {}
   void report(LiveRunReport&) const {}
@@ -104,18 +100,19 @@ class VirtualClock {
   SimTime reached_ = 0.0;
 };
 
-/// The live prototype's clock: LiveClock's scaled wall time, a condition
-/// variable the loop sleeps on until the next event is due, and lag
-/// trackers for how late events and admissions ran. Touched only by the
-/// loop thread and by steps holding the driver's state lock.
+/// The live prototype's clock: LiveClock's scaled wall time, a wait until
+/// the next event is due — serving the external source's I/O meanwhile, or
+/// sleeping when a replay has none — and lag trackers for how late events
+/// and admissions ran.
 class ScaledWallClock {
  public:
   static constexpr bool kWall = true;
 
   /// Sets the loop thread's timer slack to 1 ns while in scope, then puts
   /// the previous value back. The kernel's default slack (50 µs) lets every
-  /// timed wait of the loop end up to that much late, which is 50 simulated
-  /// ms per wake at 1000x compression.
+  /// timed wait of the loop — a sleep, or a served run's epoll wait — end up
+  /// to that much late, which is 50 simulated ms per wake at 1000x
+  /// compression.
   class Pacing {
    public:
     Pacing();
@@ -132,20 +129,18 @@ class ScaledWallClock {
   const LiveClock& live() const { return live_; }
   /// Anchors simulated t = 0 at the current wall instant.
   void start() { live_.start(); }
-  /// Between two steps of the loop the state lock is let go, so a gate
-  /// submission waiting for it runs; then the clock is read. `target` is
-  /// where the loop would go next; a wall clock reads where it is.
-  SimTime advance(MutexLock& lock, SimTime target);
+  /// Reads where the wall clock is; `target` is where the loop would go
+  /// next. When `target` is already due the loop is behind and never
+  /// reaches its wait, so a served run first serves its sockets without
+  /// blocking, at most once per kBusyPollWallMs of wall time.
+  SimTime advance(SimTime target);
   SimTime now() const { return live_.now_ms(); }
   /// True once the wall budget is spent.
   bool expired(SimTime t) const { return t >= budget_end_; }
-  /// Sleeps until simulated time `t`, or until scheduled() or notify()
-  /// cuts the sleep short.
-  void wait_until(MutexLock& lock, SimTime t);
-  /// An event was queued at `when`: wakes the loop if it sleeps past it.
-  void scheduled(SimTime when);
-  /// Wakes a sleeping loop to re-check its drain condition.
-  void notify();
+  /// Waits until simulated time `t`: a served run serves its source's I/O
+  /// until then (the source may return earlier, once it served something),
+  /// a replay sleeps.
+  void wait_until(SimTime t);
   void on_fired(SimDuration lag) { timer_lag_.add(lag); }
   void on_admitted(SimDuration lag) { admission_lag_.add(lag); }
   /// The wall facts of the run: scale, wall time since the anchor, lags.
@@ -165,19 +160,21 @@ class ScaledWallClock {
   };
 
   LiveClock live_;
-  CondVar cv_;
+  /// A served run's source; nullptr for a replay.
+  ExternalArrivalSource* const src_;
   /// The wall budget in simulated ms; kNeverTime when there is none.
   SimTime budget_end_ = kNeverTime;
-  /// While the loop waits on cv_: true, with the simulated time it waits for.
-  bool waiting_ = false;
-  SimTime wakes_at_ = 0.0;
+  /// A served run's busy-poll cadence in simulated ms, and the simulated
+  /// time at which the loop, if behind, serves its sockets next.
+  SimDuration busy_poll_period_ = 0.0;
+  SimTime busy_poll_at_ = 0.0;
   LagTracker timer_lag_;
   LagTracker admission_lag_;
 };
 
 /// The one driver of the request path, in simulated or in wall-clock time.
 /// `Clock` is the only difference: the VirtualClock jumps to the next event
-/// (`run_experiment`), the ScaledWallClock sleeps until it is due
+/// (`run_experiment`), the ScaledWallClock waits until it is due
 /// (`run_live`). Either way the driver owns the EventQueue, the lazy arrival
 /// pump, the periodic re-arm, the fire loop with its event count and its
 /// `sim.event` profiler scope, the drain rule and the hard deadline. It is
@@ -191,25 +188,20 @@ class ScaledWallClock {
 /// The drain rule: a replay ends at the first multiple of 10 simulated s at
 /// or past the trace end where nothing is in flight, checked after every
 /// event due at or before it fired; the run reports that instant as its
-/// end. A served run also checks at the start, at every wake() of its source
-/// and at its last in-flight completion. The hard deadline is trace end
-/// + 10 min of simulated time; a wall-clock run also stops once its wall
-/// budget (LiveOptions::max_wall_seconds) is spent.
+/// end. A served run also checks whenever the loop is about to wait, which
+/// covers the start of the run, a FIN and the last in-flight completion.
+/// The hard deadline is trace end + 10 min of simulated time; a wall-clock
+/// run also stops once its wall budget (LiveOptions::max_wall_seconds) is
+/// spent.
 ///
-/// Concurrency model — one loop thread, one lock:
-///  - The request path and the event queue are guarded by one state mutex
-///    `mu_`; policies never see concurrency. Every event and every gate
-///    submission is one *step*: it holds `mu_`, reads the clock once, and
-///    runs the same bookkeeping in either mode.
-///  - run() fires due events on the calling thread. Under the wall clock it
-///    lets go of `mu_` between steps and sleeps on the clock's condition
-///    variable until the next event is due; it is woken only when a step on
-///    another thread (a gate submission) schedules a new earliest event, or
-///    when the drain condition may have changed (wake(), a last completion).
-///  - Lock order: `mu_` is ranked `lock_rank::kRuntimeState`; the one lock
-///    taken under it is the serving front-end's respond channel (a
-///    `kRuntimeLeaf`), and debug builds trap any inverted acquisition
-///    through the lock-order registry (common/sync.hpp).
+/// One thread runs the experiment: run() fires due events on the calling
+/// thread, and policies never see concurrency. Every event and every gate
+/// submission is one *step* that reads the clock once and runs the same
+/// bookkeeping in either mode. Under the wall clock the loop waits for its
+/// next event in the clock: a replay sleeps, and a served run spends the
+/// wait in its source's poll(), which decodes requests and submits them
+/// through the gate on this same thread. Completions are answered through
+/// the source on it too.
 ///
 /// One instance runs one experiment:
 ///
@@ -222,26 +214,24 @@ class Driver final : public Pacer, public ExternalGate {
 
   /// Runs the experiment and returns the collected metrics. Single-shot.
   /// Returns within the wall budget (see LiveOptions).
-  LiveRunReport run() FIFER_EXCLUDES(mu_);
+  LiveRunReport run();
 
   /// The request path — its stages, profiles, cluster and engine, or a
   /// PolicyContext to call a policy with — for introspection before run().
-  RequestPath& path() FIFER_NO_THREAD_SAFETY_ANALYSIS { return path_; }
+  RequestPath& path() { return path_; }
 
   // --- Pacer (called by the request path, inside a step) ---
-  SimTime now() const override FIFER_REQUIRES(mu_) { return now_; }
-  void after(SimDuration delay, Callback cb) override FIFER_REQUIRES(mu_);
+  SimTime now() const override { return now_; }
+  void after(SimDuration delay, Callback cb) override;
   /// Rejects a non-positive period (std::invalid_argument). An occurrence
   /// the loop fell a period or more behind is skipped, not replayed in a
   /// burst: the next one is the first on the period grid past now. Under
   /// the virtual clock nothing is ever behind.
-  void every(SimDuration period_ms, std::function<void(SimTime)> cb) override
-      FIFER_REQUIRES(mu_);
-  void on_job_completed(const Job& job) override FIFER_REQUIRES(mu_);
+  void every(SimDuration period_ms, std::function<void(SimTime)> cb) override;
+  void on_job_completed(const Job& job) override;
 
-  // --- ExternalGate (called from the front-end's I/O thread; takes mu_) ---
-  Admit submit(const ExternalRequest& req) override FIFER_EXCLUDES(mu_);
-  void wake() override FIFER_EXCLUDES(mu_);
+  // --- ExternalGate (called from the source's poll(), between steps) ---
+  Admit submit(const ExternalRequest& req) override;
 
  private:
   /// A periodic step registered through every(); stored in a deque so the
@@ -256,43 +246,32 @@ class Driver final : public Pacer, public ExternalGate {
     bool drained;
   };
 
-  /// Queues `cb` at simulated time `when`.
-  void schedule(SimTime when, EventQueue::Callback cb) FIFER_REQUIRES(mu_);
   /// Runs periodic `p`'s occurrence due at `due`, then re-arms it.
-  void tick(Periodic& p, SimTime due) FIFER_REQUIRES(mu_);
+  void tick(Periodic& p, SimTime due);
   /// Submits arrival `i` and schedules arrival `i + 1`, so the queue holds
   /// at most one pending arrival.
-  void pump(std::size_t i) FIFER_REQUIRES(mu_);
-  /// Tells the loop to re-check its drain condition.
-  void wake_loop() FIFER_REQUIRES(mu_);
+  void pump(std::size_t i);
   /// The drain condition at time `t`.
-  bool drained(SimTime t) FIFER_REQUIRES(mu_);
+  bool drained(SimTime t);
   /// The fire loop: fires events until the drain rule, the hard deadline or
-  /// the wall budget ends the run. `lock` holds `mu_`.
-  Ending drive(MutexLock& lock) FIFER_REQUIRES(mu_);
+  /// the wall budget ends the run.
+  Ending drive();
 
-  /// The single state lock. Declared first so guarded members below can
-  /// name it in annotations.
-  mutable Mutex mu_;
   Clock clock_;
   ExternalArrivalSource* const src_;
 
-  RequestPath path_ FIFER_GUARDED_BY(mu_);
-  EventQueue events_ FIFER_GUARDED_BY(mu_);
-  std::deque<Periodic> periodic_ FIFER_GUARDED_BY(mu_);
+  RequestPath path_;
+  EventQueue events_;
+  std::deque<Periodic> periodic_;
   /// The current step's clock reading.
-  SimTime now_ FIFER_GUARDED_BY(mu_) = 0.0;
+  SimTime now_ = 0.0;
   /// Events fired so far.
-  std::uint64_t fired_ FIFER_GUARDED_BY(mu_) = 0;
-  /// Set by wake_loop(); the loop re-checks its drain condition before it
-  /// waits.
-  bool woken_ FIFER_GUARDED_BY(mu_) = false;
-  /// The trace end and the hard deadline; written by run() before any
-  /// concurrency, read-only afterwards. A served run has neither.
+  std::uint64_t fired_ = 0;
+  /// The trace end and the hard deadline, set by run(). A served run has
+  /// neither.
   SimTime trace_end_ = 0.0;
   SimTime hard_end_ = kNeverTime;
-  /// The replayed arrival plan; written by run() before any concurrency,
-  /// read-only afterwards.
+  /// The replayed arrival plan, set by run().
   std::vector<Arrival> arrivals_;
   /// Registry insertion order -> app name: the wire protocol's app_index
   /// numbering. Built at construction, immutable afterwards.
@@ -304,11 +283,9 @@ class Driver final : public Pacer, public ExternalGate {
   std::vector<bool> app_servable_;
   /// Served-run bookkeeping: the original ExternalRequest of job id `i` at
   /// index i (external jobs are the only jobs, and ids are sequential).
-  std::vector<ExternalRequest> external_meta_ FIFER_GUARDED_BY(mu_);
-  /// Gate state: only true between run() opening the gate (served runs)
-  /// and drain/teardown.
-  bool accepting_external_ FIFER_GUARDED_BY(mu_) = false;
-  /// Only touched by run() on the driving thread before any concurrency.
+  std::vector<ExternalRequest> external_meta_;
+  /// Gate state: only true while a served run's loop runs.
+  bool accepting_external_ = false;
   bool ran_ = false;
 };
 

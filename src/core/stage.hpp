@@ -190,7 +190,6 @@ class StageState {
   SimDuration recent_mean_wait_ms(SimTime now, SimDuration horizon_ms) const;
 
   std::uint64_t total_enqueued() const { return total_enqueued_; }
-  std::uint64_t total_dequeued() const { return total_dequeued_; }
 
  private:
   struct QueueEntry {

@@ -1,5 +1,6 @@
 #include "net/connection.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -73,7 +74,10 @@ bool Connection::queue_write(const std::uint8_t* data, std::size_t n) {
       wlen_ -= wpos_;
       wpos_ = 0;
     }
-    if (wlen_ + n > kWriteBuf) return false;
+    if (wlen_ + n > kWriteBuf) {
+      overflowed_ = true;
+      return false;
+    }
   }
   std::memcpy(wbuf_ + wlen_, data, n);
   wlen_ += n;
@@ -82,7 +86,10 @@ bool Connection::queue_write(const std::uint8_t* data, std::size_t n) {
 
 Connection::IoResult Connection::flush() {
   while (wpos_ < wlen_) {
-    const ssize_t n = ::write(fd_.get(), wbuf_ + wpos_, wlen_ - wpos_);
+    // MSG_NOSIGNAL: a peer that reset the connection fails the write with
+    // EPIPE instead of killing the process with SIGPIPE.
+    const ssize_t n =
+        ::send(fd_.get(), wbuf_ + wpos_, wlen_ - wpos_, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return IoResult::kOk;
       if (errno == EINTR) continue;

@@ -9,8 +9,8 @@
 namespace fifer::net {
 
 /// Per-frame callback interface. An interface (not std::function) so frame
-/// dispatch stays allocation-free; implementations live for the epoll loop's
-/// lifetime.
+/// dispatch stays allocation-free; implementations live as long as the
+/// server that calls them.
 class FrameHandler {
  public:
   virtual ~FrameHandler() = default;
@@ -19,10 +19,7 @@ class FrameHandler {
 };
 
 /// One accepted TCP connection: the socket plus fixed inline read/write
-/// buffers, so recycling a Slab slot never touches the allocator. All state
-/// is confined to the epoll thread; the only cross-thread channel is the
-/// server's pending-response queue, which hands encoded bytes back to the
-/// epoll thread before they ever reach `queue_write`.
+/// buffers, so recycling a Slab slot never touches the allocator.
 ///
 /// Buffers are bounded by design (DESIGN.md §5h): the read side holds at
 /// most one burst of tiny frames (4 KiB), and the write side ~1.4k encoded
@@ -48,11 +45,12 @@ class Connection {
     protocol_error_ = false;
     fin_seen_ = false;
     epollout_armed_ = false;
+    dirty_ = false;
+    overflowed_ = false;
   }
 
   std::uint64_t id() const { return id_; }
   int fd() const { return fd_.get(); }
-  bool open_fd() const { return fd_.valid(); }
   std::uint64_t bytes_in() const { return bytes_in_; }
   std::uint64_t bytes_out() const { return bytes_out_; }
   bool protocol_error() const { return protocol_error_; }
@@ -64,8 +62,11 @@ class Connection {
   IoResult on_readable(FrameHandler& handler);
 
   /// Appends `n` encoded bytes to the write buffer, compacting first if
-  /// needed. False = overflow (slow consumer); caller drops the connection.
+  /// needed. False = overflow: the peer is a slow consumer, and from then
+  /// on overflowed() holds and the server drops the connection at its next
+  /// flush, never while a read of it is dispatching frames.
   bool queue_write(const std::uint8_t* data, std::size_t n);
+  bool overflowed() const { return overflowed_; }
 
   bool has_pending_write() const { return wpos_ < wlen_; }
 
@@ -79,6 +80,11 @@ class Connection {
   /// bookkeeping the epoll loop keeps here so re-arming is edge-free.
   bool epollout_armed() const { return epollout_armed_; }
   void set_epollout_armed(bool armed) { epollout_armed_ = armed; }
+
+  /// Whether the connection sits in the server's list of connections to
+  /// flush, so it is listed at most once.
+  bool dirty() const { return dirty_; }
+  void set_dirty(bool dirty) { dirty_ = dirty; }
 
   static constexpr std::size_t kReadBuf = 4096;
   static constexpr std::size_t kWriteBuf = 64 * 1024;
@@ -94,6 +100,8 @@ class Connection {
   bool protocol_error_ = false;
   bool fin_seen_ = false;
   bool epollout_armed_ = false;
+  bool dirty_ = false;
+  bool overflowed_ = false;
   std::uint8_t rbuf_[kReadBuf];
   std::uint8_t wbuf_[kWriteBuf];
 };

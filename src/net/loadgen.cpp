@@ -302,18 +302,14 @@ LoadGenReport run_loadgen(const std::vector<Arrival>& plan,
     }
 
     // Poll window: until the next open-loop send instant (or a coarse tick).
-    int timeout_ms = 50;
+    Clock::time_point until = Clock::now() + std::chrono::milliseconds(50);
     if (!opts.closed_loop && next < total) {
-      const auto until = send_time(next) - Clock::now();
-      const auto ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(until).count();
-      timeout_ms = ms <= 0 ? 0 : static_cast<int>(ms < 50 ? ms : 50);
+      until = std::min(until, send_time(next));
     }
 
-    const int n = poller.wait(events, 64, timeout_ms);
+    const int n = poller.wait(events, 64, until);
     for (int i = 0; i < n; ++i) {
       const Poller::Event& ev = events[i];
-      if (ev.data == Poller::kWakeData) continue;
       ClientConn& conn = *conns[static_cast<std::size_t>(ev.data)];
       if (conn.dead) continue;
       if (ev.readable) {

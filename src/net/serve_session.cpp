@@ -1,6 +1,5 @@
 #include "net/serve_session.hpp"
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -21,19 +20,10 @@ std::uint64_t monotonic_ns() {
 }
 
 /// The glue between the epoll front-end and the runtime's external gate:
-/// `ServerHandler` on the ingress side (epoll thread — parses frames,
-/// submits through the gate, answers rejections immediately) and
-/// `ExternalArrivalSource` on the runtime side (completions come back under
-/// the runtime state lock and are queued to the originating connection).
-///
-/// Threading: the epoll thread touches the relaxed counters and calls
-/// `gate->submit` (which takes the runtime state lock — the epoll thread
-/// holds no lock then, per the §5f order). `on_completion` runs under the
-/// state lock and only calls `Server::respond` (the `net.server.pending`
-/// leaf lock) — a 10 -> 20 acquisition, the sanctioned direction. The
-/// completion-side tallies (RTT samples, SLO counts) are written only under
-/// the state lock and read only after the run joined, so they need no lock
-/// of their own.
+/// `ServerHandler` on the ingress side (parses frames, submits through the
+/// gate, answers rejections at once) and `ExternalArrivalSource` on the
+/// runtime side (the loop's waits poll the server; completions are queued to
+/// the originating connection). Everything runs on the loop's thread.
 class LiveServeSource final : public ServerHandler, public ExternalArrivalSource {
  public:
   /// Expected (app_index, input_scale) per tag, from the reference plan.
@@ -47,11 +37,11 @@ class LiveServeSource final : public ServerHandler, public ExternalArrivalSource
 
   void attach(Server& server) { server_ = &server; }
 
-  // --- ServerHandler (epoll thread) ---
+  // --- ServerHandler ---
 
   void on_request(std::uint64_t conn_id, const wire::Request& req) override {
     if (req.version != wire::kVersion) {
-      rejected_bad_version_.fetch_add(1, std::memory_order_relaxed);
+      ++rejected_bad_version_;
       reject(conn_id, req, wire::Status::kBadVersion);
       return;
     }
@@ -60,47 +50,41 @@ class LiveServeSource final : public ServerHandler, public ExternalArrivalSource
     er.input_scale = req.input_scale;
     er.tag = req.tag;
     er.client_send_ns = req.client_send_ns;
-    er.received_ms = clock_ != nullptr ? clock_->now_ms() : 0.0;
+    er.received_ms = clock_->now_ms();
     er.conn_id = conn_id;
 
-    ExternalGate* gate = gate_.load(std::memory_order_acquire);
-    const auto admit =
-        gate != nullptr ? gate->submit(er) : ExternalGate::Admit::kDraining;
-    switch (admit) {
+    switch (gate_->submit(er)) {
       case ExternalGate::Admit::kAccepted:
-        admitted_.fetch_add(1, std::memory_order_relaxed);
+        ++admitted_;
         if (!plan_.empty()) check_against_plan(req);
         break;
       case ExternalGate::Admit::kDraining:
-        rejected_draining_.fetch_add(1, std::memory_order_relaxed);
+        ++rejected_draining_;
         reject(conn_id, req, wire::Status::kDraining);
         break;
       case ExternalGate::Admit::kUnknownApp:
-        rejected_unknown_app_.fetch_add(1, std::memory_order_relaxed);
+        ++rejected_unknown_app_;
         reject(conn_id, req, wire::Status::kUnknownApp);
         break;
     }
   }
 
-  void on_fin(std::uint64_t) override {
-    const std::uint64_t fins = fins_.fetch_add(1, std::memory_order_acq_rel) + 1;
-    if (fins >= expected_clients_) {
-      if (ExternalGate* gate = gate_.load(std::memory_order_acquire)) {
-        gate->wake();
-      }
-    }
+  void on_fin(std::uint64_t) override { ++fins_; }
+
+  void on_disconnect(std::uint64_t, bool fin_seen) override {
+    if (!fin_seen) ++lost_;
   }
 
-  // --- ExternalArrivalSource (run loop / runtime-lock side) ---
+  // --- ExternalArrivalSource ---
 
   void start(ExternalGate& gate, const LiveClock& clock) override {
     clock_ = &clock;
-    gate_.store(&gate, std::memory_order_release);
-    // Only now does the epoll loop spin up: no frame can reach on_request
-    // before the runtime accepts, so early connections wait in the kernel
-    // instead of being rejected.
-    server_->start();
+    gate_ = &gate;
   }
+
+  // Nothing reads the sockets before the first poll, so connections made
+  // before the runtime accepts wait in the kernel instead of being rejected.
+  void poll(LiveClock::WallTime until) override { server_->poll(until); }
 
   void on_completion(const ExternalCompletion& done) override {
     wire::Response resp;
@@ -123,24 +107,20 @@ class LiveServeSource final : public ServerHandler, public ExternalArrivalSource
     }
   }
 
-  bool finished() override {
-    return fins_.load(std::memory_order_acquire) >= expected_clients_;
-  }
+  bool finished() override { return fins_ + lost_ >= expected_clients_; }
 
-  void stop() override { server_->stop_accepting(); }
-
-  // --- post-run tallies (single-threaded once the run returned) ---
+  // Flushes the last responses and closes every connection while the
+  // runtime and its gate are still alive.
+  void stop() override { server_->shutdown(); }
 
   void fill(ServeRunReport* report) const {
-    report->admitted = admitted_.load(std::memory_order_relaxed);
-    report->rejected_draining =
-        rejected_draining_.load(std::memory_order_relaxed);
-    report->rejected_unknown_app =
-        rejected_unknown_app_.load(std::memory_order_relaxed);
-    report->rejected_bad_version =
-        rejected_bad_version_.load(std::memory_order_relaxed);
-    report->plan_mismatches = plan_mismatches_.load(std::memory_order_relaxed);
+    report->admitted = admitted_;
+    report->rejected_draining = rejected_draining_;
+    report->rejected_unknown_app = rejected_unknown_app_;
+    report->rejected_bad_version = rejected_bad_version_;
+    report->plan_mismatches = plan_mismatches_;
     report->responded = responded_;
+    report->lost_connections = lost_;
     report->slo_violations = slo_violations_;
     if (responded_ > 0) {
       report->slo_attainment_pct =
@@ -170,24 +150,22 @@ class LiveServeSource final : public ServerHandler, public ExternalArrivalSource
                     plan_[req.tag].app_index == req.app_index &&
                     std::abs(plan_[req.tag].input_scale - req.input_scale) <
                         1e-12;
-    if (!ok) plan_mismatches_.fetch_add(1, std::memory_order_relaxed);
+    if (!ok) ++plan_mismatches_;
   }
 
   Server* server_ = nullptr;
   const LiveClock* clock_ = nullptr;
+  ExternalGate* gate_ = nullptr;
   const std::size_t expected_clients_;
   const std::vector<PlanEntry> plan_;
 
-  std::atomic<ExternalGate*> gate_{nullptr};
-  std::atomic<std::uint64_t> fins_{0};
-  std::atomic<std::uint64_t> admitted_{0};
-  std::atomic<std::uint64_t> rejected_draining_{0};
-  std::atomic<std::uint64_t> rejected_unknown_app_{0};
-  std::atomic<std::uint64_t> rejected_bad_version_{0};
-  std::atomic<std::uint64_t> plan_mismatches_{0};
-
-  // Written only under the runtime state lock (on_completion), read after
-  // the run joined.
+  std::uint64_t fins_ = 0;
+  std::uint64_t lost_ = 0;
+  std::uint64_t admitted_ = 0;
+  std::uint64_t rejected_draining_ = 0;
+  std::uint64_t rejected_unknown_app_ = 0;
+  std::uint64_t rejected_bad_version_ = 0;
+  std::uint64_t plan_mismatches_ = 0;
   std::uint64_t responded_ = 0;
   std::uint64_t slo_violations_ = 0;
   std::vector<double> rtt_ms_;
@@ -233,15 +211,7 @@ ServeRunReport serve_live(const ExperimentParams& params, LiveOptions live_opts,
   if (serve_opts.on_listening) serve_opts.on_listening(server.port());
 
   live_opts.external_source = &source;
-  {
-    Driver<ScaledWallClock> rt(params, live_opts);
-    report.live = rt.run();
-    // Flush + close every connection while the runtime (and its gate) are
-    // still alive: a straggler frame racing shutdown hits a draining gate,
-    // not a dangling one.
-    server.shutdown();
-  }
-
+  report.live = run_live(params, live_opts);
   report.net = server.stats();
   source.fill(&report);
   return report;

@@ -18,7 +18,7 @@ namespace fifer::net {
 struct ServeOptions {
   ServerOptions server;
   /// Drain predicate: the run ends once this many connections have sent
-  /// their FIN frame (and every admitted request completed).
+  /// their FIN frame or were lost (and every admitted request completed).
   std::size_t expected_clients = 1;
   /// When non-empty, every admitted request's (tag -> app_index,
   /// input_scale) is checked against this plan — the sim twin's arrival
@@ -42,6 +42,11 @@ struct ServeRunReport {
   std::uint64_t rejected_unknown_app = 0;
   std::uint64_t rejected_bad_version = 0;
   std::uint64_t responded = 0;  ///< kOk responses written back.
+  /// Connections that closed before sending their FIN (peer gone, error,
+  /// protocol violation or slow-consumer drop). Each counts toward
+  /// expected_clients, so the drain ends on it instead of running out the
+  /// wall budget.
+  std::uint64_t lost_connections = 0;
   /// Admitted requests whose (app_index, input_scale) disagreed with
   /// reference_plan[tag]; 0 on a faithful replay.
   std::uint64_t plan_mismatches = 0;
@@ -62,10 +67,12 @@ struct ServeRunReport {
 };
 
 /// Runs one serving session: binds the TCP front-end, drives the live
-/// runtime in external-arrival mode, serves until `expected_clients` FINs
-/// arrive (or the wall budget runs out), then drains and reports. Blocking;
-/// returns when the run is over. On a bind failure (`listen_failed`,
-/// EADDRINUSE in `listen_errno`) nothing ran — retry with another port.
+/// runtime in external-arrival mode on the calling thread — the loop serves
+/// the sockets while it waits for its next event — until `expected_clients`
+/// connections sent their FIN or were lost (or the wall budget runs out),
+/// then drains and reports. Blocking; returns when the run is over. On a
+/// bind failure (`listen_failed`, EADDRINUSE in `listen_errno`) nothing
+/// ran — retry with another port.
 ServeRunReport serve_live(const ExperimentParams& params, LiveOptions live_opts,
                           ServeOptions serve_opts);
 

@@ -1,6 +1,6 @@
 #include "net/server.hpp"
 
-#include <cerrno>
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -8,28 +8,40 @@ namespace fifer::net {
 
 namespace {
 
-/// epoll user-data tag for the listening socket (distinct from kWakeData
-/// and from every live connection id, whose index half is < kNil).
+/// epoll user-data tag for the listening socket (distinct from every live
+/// connection id, whose index half is < kNil).
 constexpr std::uint64_t kListenData = ~std::uint64_t{0} - 1;
 
-const fifer::LockClass& pending_lock_class() {
-  static const fifer::LockClass cls{"net.server.pending",
-                                    fifer::sync::lock_rank::kRuntimeLeaf};
-  return cls;
-}
+constexpr int kMaxEvents = 64;
+
+/// Forwards frames to the application handler while bumping the server's
+/// counters; lives on the polling thread's stack, so no allocation.
+class CountingHandler final : public FrameHandler {
+ public:
+  CountingHandler(ServerHandler* app, ServerStats* stats)
+      : app_(app), stats_(stats) {}
+
+  void on_request(std::uint64_t conn_id, const wire::Request& req) override {
+    ++stats_->requests;
+    app_->on_request(conn_id, req);
+  }
+  void on_fin(std::uint64_t conn_id) override {
+    ++stats_->fins;
+    app_->on_fin(conn_id);
+  }
+
+ private:
+  ServerHandler* app_;
+  ServerStats* stats_;
+};
 
 }  // namespace
 
 Server::Server(ServerOptions opts, ServerHandler* handler)
-    : opts_(std::move(opts)),
-      handler_(handler),
-      pending_mu_(&pending_lock_class()) {
-  // Pre-size the response staging buffers so the steady-state respond() →
-  // drain cycle never grows them (the zero-allocation probe in bench_serve
-  // pins this).
-  staged_.reserve(4096);
-  MutexLock lock(&pending_mu_);
-  pending_.reserve(4096);
+    : opts_(std::move(opts)), handler_(handler) {
+  // Pre-size the flush list so the steady-state respond() -> flush cycle
+  // never grows it (the zero-allocation probe in bench_serve pins this).
+  dirty_.reserve(opts_.max_connections);
 }
 
 Server::~Server() { shutdown(); }
@@ -45,130 +57,59 @@ bool Server::listen() {
   return true;
 }
 
-void Server::start() {
-  if (running_.load(std::memory_order_acquire) || !listener_.listening()) {
-    return;
+void Server::poll(Poller::WallTime until) {
+  flush_dirty();
+  Poller::Event events[kMaxEvents];
+  const int n = poller_.wait(events, kMaxEvents, until);
+  for (int i = 0; i < n; ++i) {
+    const Poller::Event& ev = events[i];
+    if (ev.data == kListenData) {
+      handle_accept();
+      continue;
+    }
+    handle_conn_event(ev.data, ev.readable, ev.writable, ev.error);
   }
-  stop_.store(false, std::memory_order_release);
-  accepting_.store(true, std::memory_order_release);
-  running_.store(true, std::memory_order_release);
-  loop_ = std::thread([this] { run_loop(); });
 }
 
 bool Server::respond(std::uint64_t conn_id, const wire::Response& resp) {
-  if (!running_.load(std::memory_order_acquire)) return false;
-  {
-    MutexLock lock(&pending_mu_);
-    pending_.push_back(PendingResponse{conn_id, resp});
+  Connection* conn = conns_.get(handle_of(conn_id));
+  if (conn == nullptr || conn->overflowed()) {
+    ++stats_.dropped_responses;
+    return false;
   }
-  poller_.wake();
+  if (!conn->dirty()) {
+    conn->set_dirty(true);
+    dirty_.push_back(conn_id);
+  }
+  std::uint8_t frame[wire::kMaxFrame];
+  const std::size_t len = wire::encode_response(resp, frame);
+  if (!conn->queue_write(frame, len)) {
+    ++stats_.slow_consumer_drops;
+    return false;
+  }
+  ++stats_.responses;
   return true;
 }
 
-void Server::stop_accepting() {
-  accepting_.store(false, std::memory_order_release);
-  poller_.wake();
-}
-
 void Server::shutdown() {
-  if (loop_.joinable()) {
-    stop_.store(true, std::memory_order_release);
-    poller_.wake();
-    loop_.join();
+  if (listener_.listening()) {
+    poller_.remove(listener_.fd());
+    listener_.close();
   }
-  listener_.close();
-  running_.store(false, std::memory_order_release);
-}
-
-ServerStats Server::stats() const {
-  ServerStats s;
-  s.accepted = stats_.accepted.load(std::memory_order_relaxed);
-  s.closed = stats_.closed.load(std::memory_order_relaxed);
-  s.rejected_connections =
-      stats_.rejected_connections.load(std::memory_order_relaxed);
-  s.requests = stats_.requests.load(std::memory_order_relaxed);
-  s.fins = stats_.fins.load(std::memory_order_relaxed);
-  s.responses = stats_.responses.load(std::memory_order_relaxed);
-  s.dropped_responses = stats_.dropped_responses.load(std::memory_order_relaxed);
-  s.slow_consumer_drops =
-      stats_.slow_consumer_drops.load(std::memory_order_relaxed);
-  s.protocol_errors = stats_.protocol_errors.load(std::memory_order_relaxed);
-  s.bytes_in = stats_.bytes_in.load(std::memory_order_relaxed);
-  s.bytes_out = stats_.bytes_out.load(std::memory_order_relaxed);
-  return s;
-}
-
-// ------------------------------------------------------------- epoll loop
-
-namespace {
-
-/// Forwards frames to the application handler while bumping the server's
-/// counters; lives on the epoll thread's stack, so no allocation.
-class CountingHandler final : public FrameHandler {
- public:
-  CountingHandler(ServerHandler* app, std::atomic<std::uint64_t>* requests,
-                  std::atomic<std::uint64_t>* fins)
-      : app_(app), requests_(requests), fins_(fins) {}
-
-  void on_request(std::uint64_t conn_id, const wire::Request& req) override {
-    requests_->fetch_add(1, std::memory_order_relaxed);
-    app_->on_request(conn_id, req);
-  }
-  void on_fin(std::uint64_t conn_id) override {
-    fins_->fetch_add(1, std::memory_order_relaxed);
-    app_->on_fin(conn_id);
-  }
-
- private:
-  ServerHandler* app_;
-  std::atomic<std::uint64_t>* requests_;
-  std::atomic<std::uint64_t>* fins_;
-};
-
-}  // namespace
-
-void Server::run_loop() {
-  constexpr int kMaxEvents = 64;
-  Poller::Event events[kMaxEvents];
-
-  while (!stop_.load(std::memory_order_acquire)) {
-    if (!accepting_.load(std::memory_order_acquire) &&
-        listener_.listening()) {
-      poller_.remove(listener_.fd());
-      listener_.close();
-    }
-
-    const int n = poller_.wait(events, kMaxEvents, -1);
-    if (n < 0) break;
-
-    // Responses first: a wake usually means completions are queued, and
-    // flushing them before reading keeps round-trip latency flat.
-    drain_pending();
-
-    for (int i = 0; i < n; ++i) {
-      const Poller::Event& ev = events[i];
-      if (ev.data == Poller::kWakeData) continue;
-      if (ev.data == kListenData) {
-        handle_accept();
-        continue;
-      }
-      handle_conn_event(ev.data, ev.readable, ev.writable, ev.error);
-    }
-  }
-
-  // Graceful drain: deliver everything already queued, give sockets a
-  // bounded window to flush, then close.
-  drain_pending();
+  // Deliver everything already queued, give sockets a bounded window to
+  // take it, then close.
+  flush_dirty();
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(opts_.drain_timeout_ms);
   while (any_pending_write() && std::chrono::steady_clock::now() < deadline) {
-    const int n = poller_.wait(events, kMaxEvents, 10);
+    const auto tick =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(10);
+    Poller::Event events[kMaxEvents];
+    const int n = poller_.wait(events, kMaxEvents, std::min(deadline, tick));
     for (int i = 0; i < n; ++i) {
       const Poller::Event& ev = events[i];
-      if (ev.data == Poller::kWakeData || ev.data == kListenData) continue;
       handle_conn_event(ev.data, /*readable=*/false, ev.writable, ev.error);
     }
-    drain_pending();
   }
 
   std::vector<SlabHandle<Connection>> open;
@@ -176,11 +117,7 @@ void Server::run_loop() {
   for (auto it = conns_.begin(); it != conns_.end(); ++it) {
     open.push_back(it.handle());
   }
-  for (const auto h : open) drop_connection(h, /*notify=*/true);
-  if (listener_.listening()) {
-    poller_.remove(listener_.fd());
-    listener_.close();
-  }
+  for (const auto h : open) drop_connection(h, /*notify=*/false);
 }
 
 void Server::handle_accept() {
@@ -188,7 +125,7 @@ void Server::handle_accept() {
     Fd fd = listener_.accept();
     if (!fd) return;
     if (conns_.size() >= opts_.max_connections) {
-      stats_.rejected_connections.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.rejected_connections;
       continue;  // fd closes on scope exit.
     }
     const auto h = conns_.emplace();
@@ -199,7 +136,7 @@ void Server::handle_accept() {
       conns_.erase(h);
       continue;
     }
-    stats_.accepted.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.accepted;
   }
 }
 
@@ -207,19 +144,15 @@ void Server::handle_conn_event(std::uint64_t conn_id, bool readable,
                                bool writable, bool error) {
   const auto h = handle_of(conn_id);
   Connection* conn = conns_.get(h);
-  if (conn == nullptr) return;  // Already dropped this pass.
+  if (conn == nullptr) return;
 
   if (readable) {
-    CountingHandler counting(handler_, &stats_.requests, &stats_.fins);
+    // The handler's responses only queue (respond() never drops), so the
+    // connection outlives the dispatch.
+    CountingHandler counting(handler_, &stats_);
     const auto r = conn->on_readable(counting);
-    // Re-check: the application handler may have triggered a respond()
-    // path that dropped the connection (slow consumer).
-    conn = conns_.get(h);
-    if (conn == nullptr) return;
     if (r != Connection::IoResult::kOk) {
-      if (conn->protocol_error()) {
-        stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (conn->protocol_error()) ++stats_.protocol_errors;
       drop_connection(h, /*notify=*/true);
       return;
     }
@@ -243,61 +176,42 @@ void Server::handle_conn_event(std::uint64_t conn_id, bool readable,
   }
 }
 
-void Server::drain_pending() {
-  staged_.clear();
-  {
-    MutexLock lock(&pending_mu_);
-    std::swap(staged_, pending_);
+void Server::flush_dirty() {
+  // By index: a drop notifies the handler, which may respond and list more.
+  for (std::size_t i = 0; i < dirty_.size(); ++i) {
+    const std::uint64_t conn_id = dirty_[i];
+    const auto h = handle_of(conn_id);
+    Connection* conn = conns_.get(h);
+    if (conn == nullptr) continue;
+    conn->set_dirty(false);
+    if (conn->overflowed() ||
+        conn->flush() == Connection::IoResult::kError) {
+      drop_connection(h, /*notify=*/true);
+      continue;
+    }
+    if (conn->has_pending_write() && !conn->epollout_armed()) {
+      poller_.modify(conn->fd(), conn_id, /*want_write=*/true);
+      conn->set_epollout_armed(true);
+    }
   }
-  for (const PendingResponse& p : staged_) {
-    deliver(p.conn_id, p.resp);
-  }
-}
-
-void Server::deliver(std::uint64_t conn_id, const wire::Response& resp) {
-  Connection* conn = conns_.get(handle_of(conn_id));
-  if (conn == nullptr) {
-    stats_.dropped_responses.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  std::uint8_t frame[wire::kMaxFrame];
-  const std::size_t len = wire::encode_response(resp, frame);
-  if (!conn->queue_write(frame, len)) {
-    stats_.slow_consumer_drops.fetch_add(1, std::memory_order_relaxed);
-    drop_connection(handle_of(conn_id), /*notify=*/true);
-    return;
-  }
-  stats_.responses.fetch_add(1, std::memory_order_relaxed);
-  if (conn->flush() == Connection::IoResult::kError) {
-    drop_connection(handle_of(conn_id), /*notify=*/true);
-    return;
-  }
-  if (conn->has_pending_write() && !conn->epollout_armed()) {
-    poller_.modify(conn->fd(), conn_id, /*want_write=*/true);
-    conn->set_epollout_armed(true);
-  }
+  dirty_.clear();
 }
 
 void Server::drop_connection(SlabHandle<Connection> h, bool notify) {
   Connection* conn = conns_.get(h);
   if (conn == nullptr) return;
   const std::uint64_t id = conn->id();
-  stats_.bytes_in.fetch_add(conn->bytes_in(), std::memory_order_relaxed);
-  stats_.bytes_out.fetch_add(conn->bytes_out(), std::memory_order_relaxed);
+  const bool fin_seen = conn->fin_seen();
+  stats_.bytes_in += conn->bytes_in();
+  stats_.bytes_out += conn->bytes_out();
   poller_.remove(conn->fd());
   conn->close();
   conns_.erase(h);
-  stats_.closed.fetch_add(1, std::memory_order_relaxed);
-  if (notify && handler_ != nullptr) handler_->on_disconnect(id);
+  ++stats_.closed;
+  if (notify && handler_ != nullptr) handler_->on_disconnect(id, fin_seen);
 }
 
-bool Server::any_pending_write() {
-  bool queued;
-  {
-    MutexLock lock(&pending_mu_);
-    queued = !pending_.empty();
-  }
-  if (queued) return true;
+bool Server::any_pending_write() const {
   for (const Connection& c : conns_) {
     if (c.has_pending_write()) return true;
   }

@@ -1,28 +1,27 @@
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/slab.hpp"
-#include "common/sync.hpp"
 #include "net/connection.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 
 namespace fifer::net {
 
-/// Application-side callbacks of the server, invoked on the epoll thread
-/// with no server lock held (so implementations may take the runtime state
-/// lock — rank kRuntimeState — freely).
+/// Application-side callbacks of the server, invoked from poll() on the
+/// caller's thread.
 class ServerHandler : public FrameHandler {
  public:
-  /// The connection is gone (peer close, error, or slow-consumer drop). Any
-  /// conn_id kept by the application is now dead; `respond` to it becomes a
-  /// counted no-op.
-  virtual void on_disconnect(std::uint64_t /*conn_id*/) {}
+  /// The connection closed while being served: peer close, socket error,
+  /// protocol violation or slow-consumer drop. `fin_seen` tells whether its
+  /// FIN frame came first. Any conn_id kept by the application is now dead;
+  /// `respond` to it becomes a counted no-op. The closes of shutdown() are
+  /// not reported.
+  virtual void on_disconnect(std::uint64_t /*conn_id*/, bool /*fin_seen*/) {}
 };
 
 struct ServerOptions {
@@ -35,8 +34,7 @@ struct ServerOptions {
   int drain_timeout_ms = 2000;
 };
 
-/// Monotonic counters, updated with relaxed atomics on the epoll thread and
-/// snapshot-readable from anywhere (exact totals once the loop has joined).
+/// Monotonic counters of one server.
 struct ServerStats {
   std::uint64_t accepted = 0;
   std::uint64_t closed = 0;
@@ -52,18 +50,22 @@ struct ServerStats {
 };
 
 /// Epoll-based non-blocking TCP server for the wire protocol (DESIGN.md
-/// §5h). Single epoll thread owns the listener and every `Connection`
-/// (Slab-recycled slots — steady-state accept/read/dispatch touches no
-/// allocator); the one cross-thread channel is `respond()`, which stages the
-/// encoded-response parameters under the `net.server.pending` leaf lock
-/// (rank kRuntimeLeaf, safe under the runtime state lock) and wakes the loop
-/// through an eventfd.
+/// §5h). It owns the listener and every `Connection` (Slab-recycled slots —
+/// steady-state accept/read/dispatch touches no allocator) and has no thread
+/// of its own: whoever drives it calls poll(), and the handler and
+/// respond() run on that thread.
+///
+/// Responses are written in batches. respond() queues the encoded frame on
+/// its connection and lists the connection; the next poll() flushes every
+/// listed connection once, before it waits. So a response produced while
+/// its own connection is being read is never written mid-read, and a slow
+/// consumer's overflow drops the connection at that flush.
 ///
 /// Lifecycle: `listen()` binds synchronously (so the caller learns the port
-/// — and EADDRINUSE — before any thread exists; early connections queue in
-/// the SYN backlog), `start()` spawns the loop, `shutdown()` stops
-/// accepting, flushes buffered responses within `drain_timeout_ms`, closes
-/// every connection, and joins.
+/// — and EADDRINUSE — before serving; early connections queue in the SYN
+/// backlog until the first poll()), poll() serves, and `shutdown()` stops
+/// accepting, flushes buffered responses within `drain_timeout_ms`, and
+/// closes every connection.
 class Server {
  public:
   Server(ServerOptions opts, ServerHandler* handler);
@@ -78,40 +80,32 @@ class Server {
   std::uint16_t port() const { return listener_.port(); }
   int listen_errno() const { return listener_.error(); }
 
-  /// Spawns the epoll thread. Requires a successful listen().
-  void start();
+  /// One pass of the serving loop: flushes every connection with queued
+  /// responses, waits for socket readiness until the wall instant `until`
+  /// (not at all when it has passed), then accepts, reads, and dispatches
+  /// every complete frame to the handler.
+  void poll(Poller::WallTime until);
 
-  /// Queues `resp` for delivery to `conn_id`'s socket. Thread-safe; callable
-  /// under the runtime state lock. False when the server is not running.
+  /// Queues `resp` for `conn_id`; the next poll() writes it. False when the
+  /// connection is gone (counted as a dropped response) or its write buffer
+  /// overflowed (a slow consumer, dropped at the next poll()).
   bool respond(std::uint64_t conn_id, const wire::Response& resp);
 
-  /// Stops accepting new connections (existing ones keep being served).
-  /// Thread-safe; the epoll thread closes the listener on its next pass.
-  void stop_accepting();
-
-  /// Graceful drain: stop accepting, flush every queued/buffered response
-  /// (bounded by drain_timeout_ms), close all connections, join the loop.
-  /// Idempotent.
+  /// Graceful drain: stop accepting, flush every buffered response
+  /// (bounded by drain_timeout_ms), close all connections. Idempotent.
   void shutdown();
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
-
-  ServerStats stats() const;
+  ServerStats stats() const { return stats_; }
 
  private:
-  struct PendingResponse {
-    std::uint64_t conn_id = 0;
-    wire::Response resp;
-  };
-
-  void run_loop();
   void handle_accept();
   void handle_conn_event(std::uint64_t conn_id, bool readable, bool writable,
                          bool error);
-  void drain_pending() FIFER_EXCLUDES(pending_mu_);
-  void deliver(std::uint64_t conn_id, const wire::Response& resp);
+  /// Writes every listed connection's queued responses; drops the ones that
+  /// overflowed or failed.
+  void flush_dirty();
   void drop_connection(SlabHandle<Connection> h, bool notify);
-  bool any_pending_write() FIFER_EXCLUDES(pending_mu_);
+  bool any_pending_write() const;
 
   static SlabHandle<Connection> handle_of(std::uint64_t conn_id) {
     return SlabHandle<Connection>{static_cast<std::uint32_t>(conn_id >> 32),
@@ -125,34 +119,11 @@ class Server {
   ServerHandler* handler_;
   Listener listener_;
   Poller poller_;
-  std::thread loop_;
-
-  // Epoll-thread-confined.
   Slab<Connection> conns_;
-  std::vector<PendingResponse> staged_;  ///< Swap target for pending_.
-
-  Mutex pending_mu_;
-  std::vector<PendingResponse> pending_ FIFER_GUARDED_BY(pending_mu_);
-
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> accepting_{false};
-
-  // Relaxed atomics so the epoll hot path stays lock-free and TSan-clean.
-  struct AtomicStats {
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> closed{0};
-    std::atomic<std::uint64_t> rejected_connections{0};
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> fins{0};
-    std::atomic<std::uint64_t> responses{0};
-    std::atomic<std::uint64_t> dropped_responses{0};
-    std::atomic<std::uint64_t> slow_consumer_drops{0};
-    std::atomic<std::uint64_t> protocol_errors{0};
-    std::atomic<std::uint64_t> bytes_in{0};
-    std::atomic<std::uint64_t> bytes_out{0};
-  };
-  AtomicStats stats_;
+  /// Connections with queued responses since the last flush, each listed
+  /// once (Connection::dirty()).
+  std::vector<std::uint64_t> dirty_;
+  ServerStats stats_;
 };
 
 }  // namespace fifer::net

@@ -5,12 +5,13 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
+#include <ctime>
 
 namespace fifer::net {
 
@@ -117,19 +118,7 @@ Fd connect_to(const std::string& host, std::uint16_t port) {
   return fd;
 }
 
-Poller::Poller() {
-  epoll_ = Fd(::epoll_create1(EPOLL_CLOEXEC));
-  wake_ = Fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
-  if (epoll_ && wake_) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = kWakeData;
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, wake_.get(), &ev) != 0) {
-      epoll_.reset();
-      wake_.reset();
-    }
-  }
-}
+Poller::Poller() { epoll_ = Fd(::epoll_create1(EPOLL_CLOEXEC)); }
 
 bool Poller::add(int fd, std::uint64_t data, bool want_write) {
   epoll_event ev{};
@@ -149,37 +138,28 @@ void Poller::remove(int fd) {
   ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, fd, nullptr);
 }
 
-int Poller::wait(Event* events, int cap, int timeout_ms) {
+int Poller::wait(Event* events, int cap, WallTime until) {
   epoll_event raw[64];
   if (cap > 64) cap = 64;
-  int n = ::epoll_wait(epoll_.get(), raw, cap, timeout_ms);
+  const std::int64_t left_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          until - std::chrono::steady_clock::now())
+          .count();
+  timespec timeout{};
+  if (left_ns > 0) {
+    timeout.tv_sec = static_cast<time_t>(left_ns / 1'000'000'000);
+    timeout.tv_nsec = static_cast<long>(left_ns % 1'000'000'000);
+  }
+  const int n = ::epoll_pwait2(epoll_.get(), raw, cap, &timeout, nullptr);
   if (n < 0) return errno == EINTR ? 0 : -1;
-  int out = 0;
   for (int i = 0; i < n; ++i) {
-    Event& e = events[out];
+    Event& e = events[i];
     e.data = raw[i].data.u64;
-    if (e.data == kWakeData) {
-      std::uint64_t drained = 0;
-      // Drain the counter so level-triggered epoll re-arms.
-      while (::read(wake_.get(), &drained, sizeof(drained)) > 0) {
-      }
-      e.readable = false;
-      e.writable = false;
-      e.error = false;
-      ++out;
-      continue;
-    }
     e.readable = (raw[i].events & EPOLLIN) != 0;
     e.writable = (raw[i].events & EPOLLOUT) != 0;
     e.error = (raw[i].events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP)) != 0;
-    ++out;
   }
-  return out;
-}
-
-void Poller::wake() {
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_.get(), &one, sizeof(one));
+  return n;
 }
 
 }  // namespace fifer::net

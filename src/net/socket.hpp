@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -81,17 +82,19 @@ bool set_nonblocking(int fd);
 /// latency-measured, so coalescing delay is pure noise.
 void set_nodelay(int fd);
 
-/// Readiness multiplexer: epoll plus an eventfd wakeup channel, the shape
-/// both the server loop and the load generator share.
+/// Readiness multiplexer over epoll, the shape both the server loop and the
+/// load generator share.
 class Poller {
  public:
+  using WallTime = std::chrono::steady_clock::time_point;
+
   Poller();
   ~Poller() = default;
 
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
-  bool valid() const { return epoll_.valid() && wake_.valid(); }
+  bool valid() const { return epoll_.valid(); }
 
   /// Registers `fd` with edge-kind flags. `want_write` arms EPOLLOUT in
   /// addition to EPOLLIN. `data` is returned verbatim in ready().
@@ -106,21 +109,15 @@ class Poller {
     bool error = false;  ///< EPOLLERR / EPOLLHUP / EPOLLRDHUP.
   };
 
-  /// Sentinel `data` value delivered when the wakeup channel fired.
-  static constexpr std::uint64_t kWakeData = ~std::uint64_t{0};
-
-  /// Waits up to `timeout_ms` (-1 = forever) and fills `events` (capacity
-  /// `cap`); returns the count. The wakeup channel is drained internally and
-  /// reported as one event with `data == kWakeData`.
-  int wait(Event* events, int cap, int timeout_ms);
-
-  /// Wakes a concurrent wait(); callable from any thread, async-signal-ish
-  /// cheap (one eventfd write).
-  void wake();
+  /// Waits for readiness until the wall instant `until` — at once when it
+  /// has passed — and fills `events` (capacity `cap`, at most 64); returns
+  /// the count, 0 on a timeout or a signal, -1 on error. The timeout has
+  /// nanosecond resolution (epoll_pwait2), so a wait ends as late as the
+  /// calling thread's timer slack allows, not a millisecond late.
+  int wait(Event* events, int cap, WallTime until);
 
  private:
   Fd epoll_;
-  Fd wake_;
 };
 
 }  // namespace fifer::net

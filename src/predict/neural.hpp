@@ -37,8 +37,6 @@ class NeuralPredictor : public LoadPredictor {
   double forecast(const std::vector<double>& recent_rates) override;
 
   bool trained() const { return trained_; }
-  /// Mean training loss of the final epoch (exposed for tests/benches).
-  double final_epoch_loss() const { return final_loss_; }
 
   /// Persists the trained weights + normalization scale so a model trained
   /// offline can be shipped to the scheduler (the paper's offline step).

@@ -22,12 +22,8 @@ namespace fifer {
 /// before the anchor, so wall time spent there does not leak into the
 /// experiment's simulated timeline.
 ///
-/// Thread-safety: deliberately lock-free and unannotated. The anchor is
-/// configuration written exactly once by the driver's `run()` before any
-/// other thread reads the clock (the serving front-end's I/O thread starts
-/// after `start()`), and every later access is a read — the one shape of
-/// shared state the annotation contract of common/sync.hpp exempts. TSan
-/// verifies the publish ordering in CI.
+/// The anchor is written once, by the driver's `run()`; the loop thread that
+/// wrote it is the only one that reads the clock.
 class LiveClock {
  public:
   using WallClock = std::chrono::steady_clock;
@@ -39,9 +35,7 @@ class LiveClock {
   double scale() const { return scale_; }
   bool started() const { return started_; }
 
-  /// Anchors simulated t = 0 at the current wall instant. Call exactly once,
-  /// before any thread reads the clock concurrently (the anchor is written
-  /// unsynchronized by design — it is configuration, not shared state).
+  /// Anchors simulated t = 0 at the current wall instant. Call exactly once.
   void start();
 
   /// Simulated milliseconds since start(); 0.0 before the anchor is set.

@@ -33,8 +33,6 @@ struct ApplicationChain {
   /// batch sizing use the resulting *expected* execution times.
   std::vector<double> stage_probability;
 
-  std::size_t stage_count() const { return stages.size(); }
-
   /// Probability that stage i executes (1.0 for static chains).
   double stage_prob(std::size_t i) const {
     return i < stage_probability.size() ? stage_probability[i] : 1.0;

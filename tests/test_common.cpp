@@ -133,24 +133,6 @@ TEST(Percentiles, P999SitsBetweenP99AndMax) {
   EXPECT_LT(p.p999(), p.max());
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 100.0, 10);
-  h.add(5.0);    // bin 0
-  h.add(95.0);   // bin 9
-  h.add(-20.0);  // clamps to bin 0
-  h.add(500.0);  // clamps to bin 9
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 5.0);
-  EXPECT_DOUBLE_EQ(h.bin_width(), 10.0);
-}
-
-TEST(Histogram, RejectsBadArguments) {
-  EXPECT_THROW(Histogram(0.0, 0.0, 10), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), std::invalid_argument);
-}
-
 TEST(ErrorMetrics, RmseAndMae) {
   const std::vector<double> a{1.0, 2.0, 3.0};
   const std::vector<double> b{1.0, 4.0, 1.0};

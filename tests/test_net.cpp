@@ -1,9 +1,11 @@
-// Network front-end tests: wire-protocol round trips, listener/poller
-// basics, the epoll server against the built-in load generator, and — the
-// headline contract — the served loopback run matching its sim twin's
-// arrival plan request-by-request (DESIGN.md §5h).
+// Network front-end tests: wire-protocol round trips, listener basics, the
+// epoll server against the built-in load generator and a slow consumer,
+// and — the headline contract — the served loopback run matching its sim
+// twin's arrival plan request-by-request (DESIGN.md §5h).
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -120,21 +122,10 @@ TEST(Listener, BindsEphemeralPortAndReportsAddrInUse) {
   EXPECT_EQ(second.error(), EADDRINUSE);
 }
 
-TEST(Poller, WakeIsVisibleFromAnotherThread) {
-  Poller poller;
-  ASSERT_TRUE(poller.valid());
-  std::thread waker([&] { poller.wake(); });
-  Poller::Event events[4];
-  const int n = poller.wait(events, 4, /*timeout_ms=*/2000);
-  waker.join();
-  ASSERT_EQ(n, 1);
-  EXPECT_EQ(events[0].data, Poller::kWakeData);
-}
-
 // ----------------------------------------------------------------- server
 
-/// Responds to every request immediately from the epoll thread; the
-/// smallest possible application of the Server API.
+/// Responds to every request as it is read; the smallest possible
+/// application of the Server API.
 class EchoHandler : public ServerHandler {
  public:
   void attach(Server* s) { server_ = s; }
@@ -145,15 +136,50 @@ class EchoHandler : public ServerHandler {
     resp.client_send_ns = req.client_send_ns;
     server_->respond(conn_id, resp);
   }
-  void on_fin(std::uint64_t) override {
-    fins_.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::uint64_t fins() const { return fins_.load(std::memory_order_relaxed); }
+  void on_fin(std::uint64_t) override { ++fins_; }
+  std::uint64_t fins() const { return fins_; }
 
  private:
   Server* server_ = nullptr;
-  std::atomic<std::uint64_t> fins_{0};
+  std::uint64_t fins_ = 0;
 };
+
+/// Polls `server` on a thread of its own until stop(): a server whose
+/// client runs on the test's thread.
+class BackgroundPoll {
+ public:
+  explicit BackgroundPoll(Server& server)
+      : server_(server), thread_([this] {
+          while (!stop_.load(std::memory_order_acquire)) {
+            server_.poll(std::chrono::steady_clock::now() +
+                         std::chrono::milliseconds(1));
+          }
+        }) {}
+  ~BackgroundPoll() { stop(); }
+  BackgroundPoll(const BackgroundPoll&) = delete;
+  BackgroundPoll& operator=(const BackgroundPoll&) = delete;
+
+  void stop() {
+    stop_.store(true, std::memory_order_release);
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  Server& server_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+/// Polls `server` on this thread until `done()` holds or 5 s pass.
+template <class Pred>
+void poll_until(Server& server, Pred done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done() && std::chrono::steady_clock::now() < give_up) {
+    server.poll(std::chrono::steady_clock::now() +
+                std::chrono::milliseconds(1));
+  }
+}
 
 std::vector<Arrival> tiny_plan(std::size_t n, const std::string& app) {
   std::vector<Arrival> plan;
@@ -173,7 +199,7 @@ TEST(Server, EchoesRequestsFromLoadGenerator) {
   Server server(so, &handler);
   handler.attach(&server);
   ASSERT_TRUE(server.listen());
-  server.start();
+  BackgroundPoll serving(server);
 
   const ApplicationRegistry apps = ApplicationRegistry::paper_chains();
   const std::vector<Arrival> plan = tiny_plan(50, apps.all().front().name);
@@ -195,12 +221,11 @@ TEST(Server, EchoesRequestsFromLoadGenerator) {
   EXPECT_GE(r.rtt_p999_ms, r.rtt_p99_ms);
   EXPECT_GE(r.rtt_max_ms, r.rtt_p999_ms);
 
-  // The client returns as soon as its FINs hit the kernel; give the epoll
-  // thread a moment to parse them (serving mode waits on this count as its
-  // drain predicate, so there the race cannot happen).
-  for (int i = 0; i < 500 && handler.fins() < 3u; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // The client returns as soon as its FINs hit the kernel; read them here
+  // (serving mode waits on this count as its drain predicate, so there the
+  // race cannot happen).
+  serving.stop();
+  poll_until(server, [&] { return handler.fins() >= 3u; });
   server.shutdown();
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.requests, 50u);
@@ -220,7 +245,7 @@ TEST(LoadGen, OpenLoopRttCountsFromThePlannedSendTime) {
   Server server(so, &handler);
   handler.attach(&server);
   ASSERT_TRUE(server.listen());
-  server.start();
+  BackgroundPoll serving(server);
 
   const ApplicationRegistry apps = ApplicationRegistry::paper_chains();
   // Real time, and every send instant lies 2 s before the generator starts:
@@ -233,6 +258,7 @@ TEST(LoadGen, OpenLoopRttCountsFromThePlannedSendTime) {
   lg.time_scale = 1.0;
   lg.timeout_seconds = 30.0;
   const LoadGenReport r = run_loadgen(plan, apps, lg);
+  serving.stop();
   server.shutdown();
 
   EXPECT_TRUE(r.completed);
@@ -248,10 +274,88 @@ TEST(Server, RespondAfterShutdownIsRefused) {
   Server server(ServerOptions{}, &handler);
   handler.attach(&server);
   ASSERT_TRUE(server.listen());
-  server.start();
+  Fd client = connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(client);
+  poll_until(server, [&] { return server.stats().accepted == 1u; });
+  ASSERT_EQ(server.stats().accepted, 1u);
   server.shutdown();
+  // No connection outlives shutdown, so a response to any id is refused.
   wire::Response resp;
   EXPECT_FALSE(server.respond(/*conn_id=*/0, resp));
+  EXPECT_EQ(server.stats().closed, 1u);
+  EXPECT_EQ(server.stats().dropped_responses, 1u);
+}
+
+/// Sends `n` bytes of `data` on non-blocking `fd`, retrying on EAGAIN, with
+/// MSG_NOSIGNAL so a connection the server dropped fails instead of
+/// raising SIGPIPE. False on an error.
+bool send_all(int fd, const std::uint8_t* data, std::size_t n) {
+  std::size_t off = 0;
+  while (off < n) {
+    const ssize_t w = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
+    if (w < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+// One pass reads a connection's frames and queues their responses, so a
+// client that sends and never reads overflows its 64 KiB write buffer while
+// its own requests are being dispatched. The server drops it at its next
+// flush, not in the middle of that read, and keeps serving everyone else.
+TEST(Server, SlowConsumerIsDroppedAndOthersKeepBeingServed) {
+  EchoHandler handler;
+  Server server(ServerOptions{}, &handler);
+  handler.attach(&server);
+  ASSERT_TRUE(server.listen());
+  Fd slow = connect_to("127.0.0.1", server.port());
+  Fd other = connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(slow);
+  ASSERT_TRUE(other);
+
+  // The slow consumer's stream: request frames, back to back. A partial
+  // send resumes mid-frame, so no frame is ever split.
+  std::uint8_t frame[wire::kMaxFrame];
+  const std::size_t len = wire::encode_request(wire::Request{}, frame);
+  std::vector<std::uint8_t> burst;
+  for (int i = 0; i < 512; ++i) burst.insert(burst.end(), frame, frame + len);
+  std::size_t off = 0;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server.stats().slow_consumer_drops == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    const ssize_t w = ::send(slow.get(), burst.data() + off,
+                             burst.size() - off, MSG_NOSIGNAL);
+    if (w > 0) off = (off + static_cast<std::size_t>(w)) % len;
+    server.poll(std::chrono::steady_clock::now());
+  }
+  ASSERT_EQ(server.stats().slow_consumer_drops, 1u);
+  server.poll(std::chrono::steady_clock::now());
+  EXPECT_EQ(server.stats().closed, 1u);
+  EXPECT_EQ(server.stats().protocol_errors, 0u);
+
+  // The other connection is served as before: its request in, its response
+  // out.
+  wire::Request req;
+  req.tag = 7;
+  ASSERT_TRUE(send_all(other.get(), frame, wire::encode_request(req, frame)));
+  std::uint8_t buf[wire::kHeaderBytes + wire::kResponsePayload];
+  std::size_t got = 0;
+  poll_until(server, [&] {
+    const ssize_t r = ::read(other.get(), buf + got, sizeof(buf) - got);
+    if (r > 0) got += static_cast<std::size_t>(r);
+    return got == sizeof(buf);
+  });
+  ASSERT_EQ(got, sizeof(buf));
+  wire::Response resp;
+  ASSERT_TRUE(wire::decode_response(buf + wire::kHeaderBytes,
+                                    wire::kResponsePayload, &resp));
+  EXPECT_EQ(resp.tag, 7u);
+  EXPECT_EQ(server.stats().closed, 1u);
+  server.shutdown();
 }
 
 // ---------------------------------------------------------- serve session
@@ -354,10 +458,11 @@ std::size_t process_threads() {
       std::distance(it, std::filesystem::directory_iterator()));
 }
 
-// Containers are events on the runtime's loop, not threads: a served Bline
-// session that spawns over a hundred containers runs on a fixed set of threads
-// (this one as the client, the serving thread as the event loop, the epoll
-// thread, the sampler), however many containers it spawns.
+// Containers are events on the runtime's loop, not threads, and the loop
+// serves the sockets itself: a served Bline session that spawns over a
+// hundred containers runs on exactly three threads (this one as the client,
+// the serving thread, the sampler), however many containers it spawns. A
+// sanitizer runtime may keep a thread of its own, which the baseline counts.
 TEST(ServeSession, ThreadCountDoesNotGrowWithSpawns) {
   if (process_threads() == 0) GTEST_SKIP() << "/proc/self/task is unavailable";
   ExperimentParams params = serve_params(10.0, 40.0, /*seed=*/3);
@@ -372,6 +477,8 @@ TEST(ServeSession, ThreadCountDoesNotGrowWithSpawns) {
       std::this_thread::sleep_for(std::chrono::microseconds(500));
     }
   });
+  // This thread and the sampler.
+  const std::size_t baseline = process_threads();
   const LoopbackRun run = run_loopback(params, /*time_scale=*/100.0,
                                        /*connections=*/2);
   sampling.store(false, std::memory_order_release);
@@ -381,7 +488,11 @@ TEST(ServeSession, ThreadCountDoesNotGrowWithSpawns) {
   ASSERT_TRUE(run.serve.live.drained);
   EXPECT_GE(run.serve.live.result.containers_spawned, 100u);
   EXPECT_EQ(run.serve.live.peak_worker_threads, 0u);
-  EXPECT_LE(peak.load(), 8u);
+  // The session adds one thread, the one that runs its loop.
+  EXPECT_LE(peak.load(), baseline + 1);
+#ifndef FIFER_SANITIZED
+  EXPECT_LE(peak.load(), 3u);
+#endif
 }
 
 TEST(ServeSession, ClosedLoopServesTheRequestedCount) {
@@ -438,6 +549,63 @@ TEST(ServeSession, ZeroRequestDrainHandshake) {
   // Nothing was answered, so there is no SLO attainment to report.
   EXPECT_EQ(report.responded, 0u);
   EXPECT_TRUE(std::isnan(report.slo_attainment_pct));
+}
+
+// A client that dies without its FIN ends the drain as a counted loss
+// instead of running out the wall budget, and the requests it got admitted
+// still complete.
+TEST(ServeSession, LostClientEndsTheDrainAsACountedLoss) {
+  const ExperimentParams params = serve_params(5.0, 4.0, /*seed=*/9);
+  std::uint32_t app_index = 0;
+  while (params.applications.all()[app_index].name !=
+         params.mix.entries().front().app) {
+    ++app_index;
+  }
+
+  LiveOptions lo;
+  lo.time_scale = 100.0;
+  lo.max_wall_seconds = 30.0;
+  ServeOptions so;
+  so.expected_clients = 1;
+  std::atomic<std::uint16_t> port{0};
+  so.on_listening = [&](std::uint16_t p) {
+    port.store(p, std::memory_order_release);
+  };
+
+  const auto t0 = std::chrono::steady_clock::now();
+  ServeRunReport report;
+  std::thread serving([&] { report = serve_live(params, lo, so); });
+  while (port.load(std::memory_order_acquire) == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  bool sent = true;
+  {
+    Fd raw = connect_to("127.0.0.1", port.load(std::memory_order_acquire));
+    std::uint8_t frame[wire::kMaxFrame];
+    for (std::uint64_t tag = 0; tag < 3; ++tag) {
+      wire::Request req;
+      req.app_index = app_index;
+      req.tag = tag;
+      sent = sent && raw && send_all(raw.get(), frame,
+                                     wire::encode_request(req, frame));
+    }
+  }  // Closes without a FIN.
+  serving.join();
+  const auto wall = std::chrono::steady_clock::now() - t0;
+
+  EXPECT_TRUE(sent);
+  ASSERT_FALSE(report.listen_failed);
+  EXPECT_TRUE(report.live.drained);
+  EXPECT_EQ(report.lost_connections, 1u);
+  EXPECT_EQ(report.net.fins, 0u);
+  EXPECT_EQ(report.admitted, 3u);
+  EXPECT_EQ(report.live.result.jobs_submitted, 3u);
+  EXPECT_EQ(report.live.result.jobs_completed, 3u);
+#ifdef FIFER_SANITIZED
+  EXPECT_LT(wall, std::chrono::seconds(20));
+#else
+  EXPECT_LT(wall, std::chrono::seconds(2));
+#endif
 }
 
 TEST(ServeSession, ListenFailureIsReportedNotFatal) {

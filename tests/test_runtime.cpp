@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -143,48 +142,45 @@ TEST(LiveRuntime, ReplayEndsOnItsSimulatorTwinsDrainCheck) {
 
 // ---------------------------------------------------------- external gate
 
-/// Minimal ExternalArrivalSource: submits `n` requests from its own thread
-/// (the shape of the epoll thread in serving mode), then probes the gate's
-/// rejection contract during stop(), when the runtime has already closed it.
+/// Minimal ExternalArrivalSource: submits `n` requests from its poll(), one
+/// per call (the shape of the server in serving mode), then probes the
+/// gate's rejection contract during stop(), when the runtime has already
+/// closed it.
 class StubExternalSource : public ExternalArrivalSource {
  public:
   StubExternalSource(std::uint32_t n, std::vector<std::uint32_t> app_indices)
       : n_(n), app_indices_(std::move(app_indices)) {}
 
-  void start(ExternalGate& gate, const LiveClock&) override {
-    gate_ = &gate;
-    worker_ = std::thread([this] {
-      for (std::uint32_t i = 0; i < n_; ++i) {
-        ExternalRequest req;
-        req.app_index = app_indices_[i % app_indices_.size()];
-        req.input_scale = 1.0;
-        req.tag = i;
-        if (gate_->submit(req) == ExternalGate::Admit::kAccepted) {
-          accepted_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+  void start(ExternalGate& gate, const LiveClock&) override { gate_ = &gate; }
+
+  void poll(LiveClock::WallTime until) override {
+    if (submitted_ < n_) {
+      ExternalRequest req;
+      req.app_index = app_indices_[submitted_ % app_indices_.size()];
+      req.input_scale = 1.0;
+      req.tag = submitted_++;
+      if (gate_->submit(req) == ExternalGate::Admit::kAccepted) ++accepted_;
+      return;
+    }
+    if (!probed_) {
       // Out-of-range app indices are rejected at the gate, not crashed on.
       ExternalRequest bad;
       bad.app_index = 0xffffffffu;
-      unknown_rejected_.store(
-          gate_->submit(bad) == ExternalGate::Admit::kUnknownApp,
-          std::memory_order_relaxed);
-      done_.store(true, std::memory_order_release);
-      gate_->wake();
-    });
+      unknown_rejected_ =
+          gate_->submit(bad) == ExternalGate::Admit::kUnknownApp;
+      probed_ = true;
+      return;
+    }
+    std::this_thread::sleep_until(until);
   }
 
   void on_completion(const ExternalCompletion& c) override {
     completion_order_ok_ =
         completion_order_ok_ && c.completion_ms >= c.arrival_ms;
-    completions_.fetch_add(1, std::memory_order_release);
+    ++completions_;
   }
 
-  bool finished() override {
-    return done_.load(std::memory_order_acquire) &&
-           completions_.load(std::memory_order_acquire) ==
-               accepted_.load(std::memory_order_acquire);
-  }
+  bool finished() override { return probed_ && completions_ == accepted_; }
 
   void stop() override {
     // The runtime closes the gate before calling stop(): a straggler submit
@@ -192,18 +188,11 @@ class StubExternalSource : public ExternalArrivalSource {
     ExternalRequest late;
     late.app_index = 0;
     drain_rejected_ = gate_->submit(late) == ExternalGate::Admit::kDraining;
-    if (worker_.joinable()) worker_.join();
   }
 
-  std::uint64_t accepted() const {
-    return accepted_.load(std::memory_order_acquire);
-  }
-  std::uint64_t completions() const {
-    return completions_.load(std::memory_order_acquire);
-  }
-  bool unknown_rejected() const {
-    return unknown_rejected_.load(std::memory_order_acquire);
-  }
+  std::uint64_t accepted() const { return accepted_; }
+  std::uint64_t completions() const { return completions_; }
+  bool unknown_rejected() const { return unknown_rejected_; }
   bool drain_rejected() const { return drain_rejected_; }
   bool completion_order_ok() const { return completion_order_ok_; }
 
@@ -211,13 +200,13 @@ class StubExternalSource : public ExternalArrivalSource {
   const std::uint32_t n_;
   const std::vector<std::uint32_t> app_indices_;
   ExternalGate* gate_ = nullptr;
-  std::thread worker_;
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> completions_{0};
-  std::atomic<bool> done_{false};
-  std::atomic<bool> unknown_rejected_{false};
-  bool drain_rejected_ = false;      // written in stop(), read after run
-  bool completion_order_ok_ = true;  // written under the state lock
+  std::uint32_t submitted_ = 0;
+  bool probed_ = false;
+  std::uint64_t accepted_ = 0;
+  std::uint64_t completions_ = 0;
+  bool unknown_rejected_ = false;
+  bool drain_rejected_ = false;
+  bool completion_order_ok_ = true;
 };
 
 TEST(LiveRuntime, ExternalSourceFeedsJobsThroughTheGate) {
@@ -257,6 +246,9 @@ TEST(LiveRuntime, ExternalSourceFeedsJobsThroughTheGate) {
 class EmptyExternalSource : public ExternalArrivalSource {
  public:
   void start(ExternalGate& gate, const LiveClock&) override { gate_ = &gate; }
+  void poll(LiveClock::WallTime until) override {
+    std::this_thread::sleep_until(until);
+  }
   void on_completion(const ExternalCompletion&) override {}
   bool finished() override { return true; }
   void stop() override {
@@ -497,46 +489,34 @@ TEST(LivePacing, PeriodicTicksSkipMissedOccurrences) {
             (r.sim_duration_ms - (fired[1] - fired[0])) / kPeriod + 3.0);
 }
 
-/// An external source that submits nothing and reports finished from its
-/// own thread after `finish_after`, calling wake() like a FIN would; with
-/// `hammer`, it also calls wake() nonstop until the run stops it.
+/// An external source that submits nothing and reports finished
+/// `finish_after` after the run started, the way a FIN would arrive; its
+/// polls wait for that moment. With `hammer`, every poll returns at once,
+/// like a source whose sockets are always busy.
 class WakingSource : public ExternalArrivalSource {
  public:
   WakingSource(std::chrono::milliseconds finish_after, bool hammer)
       : finish_after_(finish_after), hammer_(hammer) {}
 
-  void start(ExternalGate& gate, const LiveClock&) override {
-    finisher_ = std::thread([this, &gate] {
-      std::this_thread::sleep_for(finish_after_);
-      finished_.store(true, std::memory_order_release);
-      gate.wake();
-    });
-    if (hammer_) {
-      hammerer_ = std::thread([this, &gate] {
-        while (!stopped_.load(std::memory_order_acquire)) gate.wake();
-      });
-    }
+  void start(ExternalGate&, const LiveClock&) override {
+    finish_at_ = LiveClock::WallClock::now() + finish_after_;
+  }
+  void poll(LiveClock::WallTime until) override {
+    if (!hammer_) std::this_thread::sleep_until(std::min(until, finish_at_));
   }
   void on_completion(const ExternalCompletion&) override {}
-  bool finished() override { return finished_.load(std::memory_order_acquire); }
-  void stop() override {
-    stopped_.store(true, std::memory_order_release);
-    if (hammerer_.joinable()) hammerer_.join();
-    if (finisher_.joinable()) finisher_.join();
-  }
+  bool finished() override { return LiveClock::WallClock::now() >= finish_at_; }
+  void stop() override {}
 
  private:
   const std::chrono::milliseconds finish_after_;
   const bool hammer_;
-  std::thread finisher_;
-  std::thread hammerer_;
-  std::atomic<bool> finished_{false};
-  std::atomic<bool> stopped_{false};
+  LiveClock::WallTime finish_at_{};
 };
 
 TEST(LivePacing, FinWakeEndsTheDrainPromptly) {
-  // Real time: the loop sleeps toward the scaler's next tick, seconds away.
-  // Only the wake can end the run early.
+  // Real time: the loop waits toward the scaler's next tick, seconds away.
+  // Only the source's poll returning with the FIN can end the run early.
   WakingSource source(std::chrono::milliseconds(20), /*hammer=*/false);
   LiveOptions o;
   o.time_scale = 1.0;
@@ -550,8 +530,8 @@ TEST(LivePacing, FinWakeEndsTheDrainPromptly) {
 }
 
 TEST(LivePacing, WakesRacingTheHardDeadlineEndTheRunOnce) {
-  // Wakes arrive nonstop while the source finishes right at the hard
-  // deadline: whichever wins, the loop ends once, without hanging.
+  // Polls return nonstop while the source finishes right at the wall
+  // budget: whichever wins, the loop ends once, without hanging.
   WakingSource source(std::chrono::milliseconds(50), /*hammer=*/true);
   LiveOptions o;
   o.time_scale = 1.0;
@@ -563,6 +543,50 @@ TEST(LivePacing, WakesRacingTheHardDeadlineEndTheRunOnce) {
   EXPECT_EQ(r.result.jobs_submitted, 0u);
   EXPECT_GE(wall, std::chrono::milliseconds(40));
   EXPECT_LT(wall, std::chrono::seconds(20));  // generous CI margin
+}
+
+/// An external source that submits nothing and counts its polls, each of
+/// which waits until its deadline; it is finished once polled three times,
+/// as if its clients' FINs had come in.
+class CountingSource : public ExternalArrivalSource {
+ public:
+  void start(ExternalGate&, const LiveClock&) override {}
+  void poll(LiveClock::WallTime until) override {
+    ++polls_;
+    std::this_thread::sleep_until(until);
+  }
+  void on_completion(const ExternalCompletion&) override {}
+  bool finished() override { return polls_ >= 3; }
+  void stop() override {}
+  std::uint64_t polls() const { return polls_; }
+
+ private:
+  std::uint64_t polls_ = 0;
+};
+
+TEST(LivePacing, ALoopThatIsBehindStillPollsItsSource) {
+  // A step that takes five of its periods re-arms to an instant already
+  // past, so after its first occurrence the loop never reaches its wait,
+  // where a served run polls its source. It must poll it anyway, without
+  // blocking; otherwise the source never finishes and the run ends only on
+  // its wall budget.
+  auto p = tick_params([](PolicyContext& ctx) {
+    ctx.every(1.0, [](SimTime) {
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(50);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    });
+  });
+  CountingSource source;
+  LiveOptions o;
+  o.time_scale = 100.0;  // a 1-ms period is 10 wall µs
+  o.max_wall_seconds = 5.0;
+  o.external_source = &source;
+  const LiveRunReport r = run_live(std::move(p), o);
+  EXPECT_TRUE(r.drained);
+  EXPECT_GE(source.polls(), 3u);
+  EXPECT_GE(r.timer_lag.max_ms, 4.0);  // the loop really was behind
 }
 
 TEST(LivePacing, ShutdownWithPendingContainerEventsEndsCleanly) {

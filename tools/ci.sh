@@ -138,11 +138,12 @@ echo "==== [release] perf smoke (zero-alloc probe + BENCH_scale.json refresh)"
 "$ROOT/build-ci-release/bench/bench_scale" duration_s=60 warmup_s=20 \
   json_out="$ROOT/BENCH_scale.json"
 # Serving-path perf smoke (DESIGN.md §5h): bench_serve's epoll probe must
-# show a zero-allocation accept→dispatch→respond cycle and the loopback
-# serve+loadgen e2e must drain cleanly; refreshes BENCH_serve.json.
-echo "==== [release] serving perf smoke (epoll zero-alloc probe + BENCH_serve.json refresh)"
+# show a zero-allocation accept→dispatch→respond→flush cycle, and its
+# capacity probe (100k closed-loop requests at 10^4x, where the server
+# bounds the round trip) must drain cleanly; refreshes BENCH_serve.json.
+echo "==== [release] serving perf smoke (epoll zero-alloc probe + capacity probe + BENCH_serve.json refresh)"
 "$ROOT/build-ci-release/bench/bench_serve" probe_requests=10000 \
-  e2e_requests=1000 json_out="$ROOT/BENCH_serve.json"
+  json_out="$ROOT/BENCH_serve.json"
 # Predictor perf smoke (DESIGN.md §5i): bench_predict must show zero
 # allocations per forecast() for all four NN predictors and bit-identical
 # forecasts from the pre-rewrite scalar LSTM path and the kernel path (the

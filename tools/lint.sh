@@ -81,7 +81,7 @@ fi
 # The rule bans both the system headers and the syscall spellings; `bind` is
 # deliberately not matched (std::bind false positives).
 RAW_NET=$(grep -rnE \
-  '#include[[:space:]]*<(sys/socket\.h|sys/epoll\.h|netinet/[a-z_/]+\.h|arpa/inet\.h)>|[^_[:alnum:]](socket|accept4?|epoll_(create1?|ctl|wait)|eventfd)[[:space:]]*\(' \
+  '#include[[:space:]]*<(sys/socket\.h|sys/epoll\.h|netinet/[a-z_/]+\.h|arpa/inet\.h)>|[^_[:alnum:]](socket|accept4?|epoll_(create1?|ctl|p?wait2?)|eventfd)[[:space:]]*\(' \
   "$ROOT/src" --include='*.cpp' --include='*.hpp' |
   grep -v "^$ROOT/src/net/" |
   grep -vE '^\s*[^:]*:[0-9]+:\s*(//|\*)' || true)
